@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from . import polymorphisms as poly
 from . import random_instances as ri
 from . import sherali_adams as sa
 from . import template_analyzer as ta
-from .core import Structure, load_structure, save_structure
+from .core import Structure, env_node_budget, load_structure, save_structure
 from .errors import (
     BudgetExceededError,
     PcspError,
@@ -43,11 +42,6 @@ def _write_csv(path, fieldnames, rows):
     else:
         with open(path, "w") as fh:
             fh.write(buf.getvalue())
-
-
-def _env_budget():
-    raw = os.environ.get("PCSP_BUDGET_NODES")
-    return int(raw) if raw else None
 
 
 def _rational(text):
@@ -78,7 +72,7 @@ def cmd_consistency(args):
     instance = load_structure(args.instance)
     template = load_structure(args.template)
     strategy = cons.compute_strategy(instance, template, args.k,
-                                     budget=_env_budget())
+                                     budget=env_node_budget())
     ok = strategy is not None
     print("leq_%d: %s (%d maps)" % (args.k, str(ok).lower(),
                                     len(strategy) if ok else 0))

@@ -8,10 +8,11 @@ nonempty, is the unique maximal k-strategy.  The classical name for this
 procedure is (k-1)-consistency; we index by the strategy domain size k.
 """
 
-from itertools import combinations, product as iproduct
+from itertools import groupby
+from math import comb
 from typing import Optional
 
-from .core import Structure
+from .core import Structure, constraints_by_max
 from .errors import BudgetExceededError
 
 DEFAULT_MAP_BUDGET = 2_000_000
@@ -23,14 +24,10 @@ def partial_map(pairs):
     return tuple(sorted(pairs))
 
 
-def map_dict(h):
-    return dict(h)
-
-
 def is_partial_hom(h, instance: Structure, template: Structure) -> bool:
     dom = dict(h)
     for sym, tups in instance.relations:
-        target = set(template.rel(sym))
+        target = template.rel_set(sym)
         for t in tups:
             if all(x in dom for x in t):
                 if tuple(dom[x] for x in t) not in target:
@@ -38,34 +35,63 @@ def is_partial_hom(h, instance: Structure, template: Structure) -> bool:
     return True
 
 
-def all_partial_homs(instance: Structure, template: Structure, k: int,
-                     budget: Optional[int] = None):
-    """All partial homomorphisms with |dom| <= min(k, |I|), as a set."""
-    budget = budget or DEFAULT_MAP_BUDGET
-    k = min(k, instance.n)
-    count = sum(
-        _comb(instance.n, i) * template.n ** i for i in range(k + 1))
+def _domain(h):
+    return tuple(x for x, _ in h)
+
+
+def partial_homs(instance: Structure, template: Structure, k: int, budget: int):
+    """All partial homomorphisms with |dom| <= min(k, |I|).
+
+    Ordered by (size, domain, values).  Layer i extends the maps of layer
+    i-1 by one element above their domain and checks only the tuples that
+    the new element completes: a restriction of a partial homomorphism is
+    again one, so dead maps are never extended.  Raises BudgetExceededError
+    before enumerating if the map space sum_i C(n,i)|T|^i exceeds budget.
+    """
+    n = instance.n
+    k = min(k, n)
+    count = sum(comb(n, i) * template.n ** i for i in range(k + 1))
     if count > budget:
         raise BudgetExceededError(
             "partial-map space of size %d exceeds budget %d" % (count, budget))
-    out = set()
-    for size in range(k + 1):
-        for dom in combinations(range(instance.n), size):
-            for vals in iproduct(range(template.n), repeat=size):
-                h = tuple(zip(dom, vals))
-                if is_partial_hom(h, instance, template):
-                    out.add(h)
+    by_max = constraints_by_max(instance, template)
+    if by_max is None:
+        return []
+    out = layer = [()]
+    for _ in range(k):
+        nxt = []
+        for dom, group in groupby(layer, key=_domain):
+            values = [tuple(a for _, a in h) for h in group]
+            pos = {x: i for i, x in enumerate(dom)}
+            pos_new = len(dom)
+            for x in range(dom[-1] + 1 if dom else 0, n):
+                # the tuples that x completes, as positions into values + (a,)
+                checks = [(target, tuple(pos.get(e, pos_new) for e in t))
+                          for target, t in by_max[x]
+                          if all(e in pos or e == x for e in t)]
+                ext_dom = dom + (x,)
+                for vals in values:
+                    for a in range(template.n):
+                        img = vals + (a,)
+                        if all(tuple(img[p] for p in ps) in target
+                               for target, ps in checks):
+                            nxt.append(tuple(zip(ext_dom, img)))
+        out = out + nxt
+        layer = nxt
     return out
-
-
-def _comb(n, i):
-    from math import comb
-    return comb(n, i)
 
 
 def _restrictions(h):
     """All co-dimension-1 restrictions of h."""
     return [h[:i] + h[i + 1:] for i in range(len(h))]
+
+
+def _extensions(h, instance_n, template_n):
+    """The one-point extensions of h, one list per element outside dom(h)."""
+    dom = set(_domain(h))
+    for x in range(instance_n):
+        if x not in dom:
+            yield [partial_map(h + ((x, a),)) for a in range(template_n)]
 
 
 def _violates(h, k, family, instance_n, template_n):
@@ -74,12 +100,8 @@ def _violates(h, k, family, instance_n, template_n):
         if r not in family:
             return True
     if len(h) < k:
-        dom = set(x for x, _ in h)
-        for x in range(instance_n):
-            if x in dom:
-                continue
-            if not any(partial_map(h + ((x, a),)) in family
-                       for a in range(template_n)):
+        for exts in _extensions(h, instance_n, template_n):
+            if not any(g in family for g in exts):
                 return True
     return False
 
@@ -96,7 +118,7 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
     if instance.signature != template.signature:
         raise ValueError("strategy requires a common signature")
     k = min(k, instance.n)
-    family = all_partial_homs(instance, template, k, budget)
+    family = set(partial_homs(instance, template, k, budget or DEFAULT_MAP_BUDGET))
     if instance.n == 0:
         return frozenset({()}) if () in family else None
 
@@ -111,19 +133,8 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
             family.discard(h)
             work.update(r for r in _restrictions(h) if r in family)
             if len(h) < k:
-                dom = set(x for x, _ in h)
-                for x in range(instance.n):
-                    if x in dom:
-                        continue
-                    for a in range(template.n):
-                        ext = partial_map(h + ((x, a),))
-                        if ext in family:
-                            work.add(ext)
-            else:
-                # extensions do not exist at max size; restrictions handled
-                pass
-            # removing h can also strand extensions of its restrictions; the
-            # restrictions re-enqueued above cover the cascade
+                for exts in _extensions(h, instance.n, template.n):
+                    work.update(g for g in exts if g in family)
     if not family:
         return None
     return frozenset(family)
@@ -148,12 +159,8 @@ def is_strategy(family, instance: Structure, template: Structure, k: int) -> boo
             if r not in fam:
                 return False
         if len(h) < k:
-            dom = set(x for x, _ in h)
-            for x in range(instance.n):
-                if x in dom:
-                    continue
-                if not any(partial_map(h + ((x, a),)) in fam
-                           for a in range(template.n)):
+            for exts in _extensions(h, instance.n, template.n):
+                if not any(g in fam for g in exts):
                     return False
     return True
 

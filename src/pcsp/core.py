@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -19,11 +20,17 @@ DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_POWER_LIMIT = 1_000_000
 
 
+def env_node_budget() -> Optional[int]:
+    """The integer in PCSP_BUDGET_NODES, or None when it is unset or empty."""
+    env = os.environ.get("PCSP_BUDGET_NODES")
+    return int(env) if env else None
+
+
 def node_budget(override: Optional[int] = None) -> int:
     if override is not None:
         return override
-    env = os.environ.get("PCSP_BUDGET_NODES")
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    env = env_node_budget()
+    return env if env is not None else DEFAULT_NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class Relation:
         return len(self.tuples)
 
     def __contains__(self, t):
-        return tuple(t) in set(self.tuples)
+        return tuple(t) in self.tuples
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,14 @@ class Structure:
             if sym == name:
                 return tups
         raise KeyError(name)
+
+    @cached_property
+    def _rel_sets(self):
+        return {sym: frozenset(tups) for sym, tups in self.relations}
+
+    def rel_set(self, name: str) -> frozenset:
+        """The tuples of a relation as a frozenset, built once per structure."""
+        return self._rel_sets[name]
 
     def relation(self, name: str) -> Relation:
         return Relation(self.signature.arity(name), self.n, self.rel(name))
@@ -217,19 +232,6 @@ def induced_substructure(struct: Structure, subset: Iterable[int]):
     return sub, tuple(keep)
 
 
-def substructure_on_tuples(struct: Structure, chosen) -> Structure:
-    """Substructure with the same domain but only the chosen tuples.
-
-    ``chosen`` maps relation name -> iterable of tuples.
-    """
-    rels = []
-    for sym, tups in struct.relations:
-        have = set(tups)
-        sel = tuple(t for t in chosen.get(sym, ()) if tuple(t) in have)
-        rels.append((sym, sel))
-    return Structure(struct.signature, struct.n, tuple(rels), struct.name + "-sub")
-
-
 def union(a: Structure, b: Structure) -> Structure:
     if a.signature != b.signature:
         raise ValueError("union requires a common signature")
@@ -244,6 +246,24 @@ def union(a: Structure, b: Structure) -> Structure:
 # Homomorphism search
 
 
+def constraints_by_max(instance: Structure, template: Structure):
+    """Instance tuples as (template relation set, tuple) pairs, by largest element.
+
+    Entry x lists the tuples whose largest element is x, so they become
+    checkable once 0..x are assigned.  Returns None if a nullary instance
+    tuple has no image in the template (then no map is a homomorphism).
+    """
+    by_max = [[] for _ in range(instance.n)]
+    for sym, tups in instance.relations:
+        target = template.rel_set(sym)
+        for t in tups:
+            if t:
+                by_max[max(t)].append((target, t))
+            elif () not in target:
+                return None
+    return by_max
+
+
 def _search(instance: Structure, template: Structure, fixed, budget, find_all):
     """Backtracking with forward checking; ascending variable/value order."""
     if instance.signature != template.signature:
@@ -251,22 +271,17 @@ def _search(instance: Structure, template: Structure, fixed, budget, find_all):
     n = instance.n
     tv = template.n
 
-    # constraints as (rel_tuples_set, instance_tuple); indexed by max element
-    tuples_by_max = [[] for _ in range(n)]
+    tuples_by_max = constraints_by_max(instance, template)
+    if tuples_by_max is None:
+        return iter(())
+    # in relation order: forward_prune stops at its first wipe-out, so the
+    # order of these lists sets its cost
     tuples_by_elem = [[] for _ in range(n)]
     for sym, tups in instance.relations:
-        target = set(template.rel(sym))
-        if not tups:
-            continue
+        target = template.rel_set(sym)
         for t in tups:
-            if not t:
-                if () not in target:
-                    return iter(())  # nullary constraint unsatisfiable
-                continue
-            entry = (target, t)
-            tuples_by_max[max(t)].append(entry)
             for x in set(t):
-                tuples_by_elem[x].append(entry)
+                tuples_by_elem[x].append((target, t))
 
     domains = [set(range(tv)) for _ in range(n)]
     assign = [-1] * n
@@ -360,7 +375,7 @@ def is_homomorphism(mapping: Sequence[int], instance: Structure, template: Struc
     if len(mapping) != instance.n:
         return False
     for sym, tups in instance.relations:
-        target = set(template.rel(sym))
+        target = template.rel_set(sym)
         for t in tups:
             if tuple(mapping[x] for x in t) not in target:
                 return False

@@ -18,7 +18,7 @@ from .core import (
     hom_search,
     power,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PcspError
 
 DEFAULT_TABLE_BUDGET = 1_000_000
 
@@ -53,7 +53,7 @@ def is_polymorphism(f: OperationTable, left: Structure, right: Structure) -> boo
     if left.signature != right.signature:
         return False
     for sym, tups in left.relations:
-        target = set(right.rel(sym))
+        target = right.rel_set(sym)
         ar = left.signature.arity(sym)
         for cols in iproduct(tups, repeat=f.arity):
             image = tuple(f(*(cols[j][i] for j in range(f.arity)))
@@ -173,7 +173,8 @@ def has_wnu(left: Structure, right: Structure, m: int,
     for cell in range(left.n ** m):
         table[cell] = h[class_of[cell]]
     f = OperationTable(m, left.n, right.n, tuple(table))
-    assert is_wnu(f)
+    if not is_wnu(f):
+        raise PcspError("internal error: WNU search returned a table that is not a WNU")
     return f
 
 
@@ -269,13 +270,7 @@ def free_structure(base: Structure, fragment: MinionFragment) -> Structure:
 def has_reflexive_tuple(struct: Structure) -> Optional[int]:
     """An element whose constant tuple is in every relation, or None."""
     for a in range(struct.n):
-        ok = True
-        for sym, tups in struct.relations:
-            ar = struct.signature.arity(sym)
-            if (a,) * ar not in set(tups):
-                ok = False
-                break
-        if ok:
+        if all((a,) * ar in struct.rel_set(sym) for sym, ar in struct.signature.symbols):
             return a
     return None
 

@@ -299,7 +299,8 @@ def feasible(lp: RationalLP) -> Verdict:
     if z is None:
         return Verdict(False)
     point = recover(z)
-    assert check_point(lp, point), "internal error: simplex point fails a constraint"
+    if not check_point(lp, point):
+        raise PcspError("internal error: simplex point fails a constraint")
     return Verdict(True, point)
 
 

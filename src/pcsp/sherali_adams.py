@@ -9,12 +9,10 @@ away rather than emitted; the resulting LP is equivalent.
 """
 
 from fractions import Fraction
-from itertools import combinations, product as iproduct
 from typing import Dict, Optional
 
-from .consistency import is_partial_hom, partial_map
+from .consistency import is_partial_hom, partial_homs, partial_map
 from .core import Structure
-from .errors import BudgetExceededError
 from .ratlp import EQ, RationalLP, Verdict, feasible
 
 DEFAULT_VAR_BUDGET = 200_000
@@ -26,25 +24,6 @@ def x_key(f):
 
 def lam_key(f, sym, u, t):
     return ("lam", f, sym, u, t)
-
-
-def partial_homs_up_to(instance: Structure, template: Structure, k: int,
-                       budget: int = DEFAULT_VAR_BUDGET):
-    """All partial homomorphisms with |dom| <= min(k, |I|), sorted."""
-    k = min(k, instance.n)
-    count = 0
-    out = []
-    for size in range(k + 1):
-        for dom in combinations(range(instance.n), size):
-            for vals in iproduct(range(template.n), repeat=size):
-                count += 1
-                if count > budget:
-                    raise BudgetExceededError(
-                        "partial-map space exceeds budget %d" % budget)
-                h = tuple(zip(dom, vals))
-                if is_partial_hom(h, instance, template):
-                    out.append(h)
-    return out
 
 
 def _consistent_templates(f_dict, u, template_tuples):
@@ -77,7 +56,7 @@ def build_sa(instance: Structure, template: Structure, k: int,
         raise ValueError("level must be >= 1")
     if instance.signature != template.signature:
         raise ValueError("common signature required")
-    homs = partial_homs_up_to(instance, template, k, budget)
+    homs = partial_homs(instance, template, k, budget)
     hom_set = set(homs)
 
     lp = RationalLP()

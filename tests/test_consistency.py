@@ -1,13 +1,16 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcsp.consistency import (
-    all_partial_homs,
     compute_strategy,
     format_strategy,
+    is_partial_hom,
     is_strategy,
     leq_k,
     parse_strategy,
+    partial_homs,
     width_counterexample_check,
 )
 from pcsp.core import Signature, Structure, complete_graph, cycle, hom_search
@@ -43,9 +46,69 @@ class TestComputeStrategy:
         # that the fixed point is itself a strategy and that re-running the
         # removal on it changes nothing
         s = compute_strategy(complete_graph(3), complete_graph(3), 2)
-        assert s == frozenset(h for h in all_partial_homs(
-            complete_graph(3), complete_graph(3), 2) if h in s)
+        assert s == frozenset(h for h in partial_homs(
+            complete_graph(3), complete_graph(3), 2, budget=100) if h in s)
         assert is_strategy(s, complete_graph(3), complete_graph(3), 2)
+
+
+def brute_force_partial_homs(instance, template, k):
+    """Every map with |dom| <= min(k, n), in (size, domain, values) order, filtered."""
+    return [tuple(zip(dom, vals))
+            for size in range(min(k, instance.n) + 1)
+            for dom in combinations(range(instance.n), size)
+            for vals in product(range(template.n), repeat=size)
+            if is_partial_hom(tuple(zip(dom, vals)), instance, template)]
+
+
+class TestPartialHoms:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_in_order(self, data):
+        inst, ar = random_structure(data, n_max=5)
+        tn = data.draw(st.integers(1, 3))
+        tt = data.draw(st.lists(st.tuples(*[st.integers(0, tn - 1)] * ar), max_size=8))
+        tmpl = Structure(inst.signature, tn, (("R", tuple(tt)),))
+        k = data.draw(st.integers(0, 4))
+        assert partial_homs(inst, tmpl, k, budget=10**6) == \
+            brute_force_partial_homs(inst, tmpl, k)
+
+    def test_empty_instance(self):
+        empty = Structure(Signature((("E", 2),)), 0)
+        assert partial_homs(empty, complete_graph(2), 3, budget=1) == [()]
+
+    def test_k_above_n(self):
+        edge = Structure(Signature((("E", 2),)), 2, (("E", ((0, 1),)),))
+        assert partial_homs(edge, complete_graph(2), 5, budget=100) == [
+            (), ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),),
+            ((0, 0), (1, 1)), ((0, 1), (1, 0))]
+
+    def test_repeated_element(self):
+        # (0, 0, 1) forces the images of 0 to agree: only 0->0, 1->1 survives
+        sig = Signature((("R", 3),))
+        inst = Structure(sig, 2, (("R", ((0, 0, 1),)),))
+        tmpl = Structure(sig, 2, (("R", ((0, 0, 1), (0, 1, 1))),))
+        homs = partial_homs(inst, tmpl, 2, budget=100)
+        assert [h for h in homs if len(h) == 2] == [((0, 0), (1, 1))]
+        assert homs == brute_force_partial_homs(inst, tmpl, 2)
+
+    def test_empty_relation(self):
+        tmpl = Structure(Signature((("E", 2),)), 2, (("E", ()),))
+        assert partial_homs(cycle(3), tmpl, 2, budget=100) == [
+            (), ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),), ((2, 0),), ((2, 1),)]
+
+    def test_unsatisfied_nullary_relation(self):
+        sig = Signature((("Z", 0), ("E", 2)))
+        inst = Structure(sig, 2, (("Z", ((),)), ("E", ((0, 1),))))
+        tmpl = Structure(sig, 2, (("Z", ()), ("E", ((0, 1),))))
+        assert partial_homs(inst, tmpl, 2, budget=100) == []
+        assert compute_strategy(inst, tmpl, 2) is None
+
+    def test_budget_is_checked_before_enumeration(self):
+        # the space for C4 -> K2 at k=2 is 1 + 4*2 + 6*4 = 33 maps; 25 survive
+        # (4 adjacent pairs with 2 maps each, 2 opposite pairs with 4)
+        assert len(partial_homs(cycle(4), complete_graph(2), 2, budget=33)) == 25
+        with pytest.raises(BudgetExceededError):
+            partial_homs(cycle(4), complete_graph(2), 2, budget=32)
 
 
 class TestLeqK:

@@ -51,6 +51,13 @@ class TestConstructors:
         assert len(cycle(5).rel("E")) == 10
         assert len(path(4).rel("E")) == 6
 
+    def test_rel_set_is_built_once(self):
+        k3 = complete_graph(3)
+        assert k3.rel_set("E") == frozenset(k3.rel("E"))
+        assert k3.rel_set("E") is k3.rel_set("E")
+        # the cached sets take no part in equality or hashing
+        assert k3 == complete_graph(3) and hash(k3) == hash(complete_graph(3))
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             complete_graph(0)
@@ -213,6 +220,11 @@ class TestHomSearch:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             hom_search(cycle(9), complete_graph(3), budget=3)
+
+    def test_env_budget_zero_is_a_zero_node_budget(self, monkeypatch):
+        monkeypatch.setenv("PCSP_BUDGET_NODES", "0")
+        with pytest.raises(BudgetExceededError):
+            hom_search(cycle(4), complete_graph(2))
 
     def test_enumeration_order_and_completeness(self):
         homs = list(enumerate_homomorphisms(cycle(4), complete_graph(2)))

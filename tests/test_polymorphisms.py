@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pcsp import polymorphisms
 from pcsp.core import (
     Signature,
     Structure,
@@ -27,6 +28,7 @@ from pcsp.polymorphisms import (
     minor,
     parse_operation,
 )
+from pcsp.errors import PcspError
 
 
 def projection_table(m, carrier, coord):
@@ -147,6 +149,12 @@ class TestWNU:
         got = has_wnu(left, right, 2)
         want = [p for p in enumerate_polymorphisms(left, right, 2) if is_wnu(p)]
         assert (got is not None) == bool(want)
+
+    def test_failed_wnu_check_raises_pcsp_error(self, monkeypatch):
+        # the verdict check must not be an assert, which python -O strips
+        monkeypatch.setattr(polymorphisms, "is_wnu", lambda f: False)
+        with pytest.raises(PcspError, match="internal error"):
+            has_wnu(exactly_template(2, 4), nae_template(4), 3)
 
 
 class TestPolymorphismSuites:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from pcsp import ratlp
+from pcsp.errors import PcspError
 from pcsp.ratlp import (
     RationalLP,
     check_point,
@@ -55,6 +57,14 @@ class TestBasics:
         lp = RationalLP()
         lp.add_variable("x", 0, 1)
         assert feasible(lp).feasible
+
+    def test_failed_point_check_raises_pcsp_error(self, monkeypatch):
+        # the verdict check must not be an assert, which python -O strips
+        monkeypatch.setattr(ratlp, "check_point", lambda lp, point: False)
+        lp = RationalLP()
+        lp.add_variable("x", 0, 1)
+        with pytest.raises(PcspError, match="internal error"):
+            feasible(lp)
 
     def test_fractional_point_is_exact(self):
         lp = RationalLP()

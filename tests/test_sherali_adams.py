@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcsp.consistency import leq_k
+from pcsp.consistency import leq_k, partial_homs
 from pcsp.core import (
     Signature,
     Structure,
@@ -13,6 +13,7 @@ from pcsp.core import (
     hom_search,
     nae_template,
 )
+from pcsp.errors import BudgetExceededError
 from pcsp.ratlp import feasible
 from pcsp.sherali_adams import (
     augmented_sa1_check,
@@ -21,7 +22,6 @@ from pcsp.sherali_adams import (
     condition_on,
     format_certificate,
     leq_sa,
-    partial_homs_up_to,
     sa_solution,
     solve_sa,
     strategy_from_solution,
@@ -70,6 +70,10 @@ class TestBuild:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             build_sa(EDGE, complete_graph(2), 0)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError):
+            build_sa(cycle(12), complete_graph(3), 4, budget=100)
 
 
 class TestLeqSA:
@@ -141,7 +145,7 @@ class TestConditioning:
     def test_integral_point_conditions_to_itself(self):
         # build the 0/1 level-2 point from a homomorphism of C_4 to K_2
         h = hom_search(cycle(4), complete_graph(2))
-        homs = partial_homs_up_to(cycle(4), complete_graph(2), 2)
+        homs = partial_homs(cycle(4), complete_graph(2), 2, budget=100)
         sol = {f: F(1) if all(h[e] == a for e, a in f) else F(0) for f in homs}
         cond = condition_on(sol, 0, h[0])
         for u in range(4):
