@@ -2,8 +2,9 @@
 
 Subcommands: analyze, consistency, sa, polymorph, sample, hard, color,
 bench.  Exit codes: 0 success, 1 negative verdict (no hom / infeasible /
-no witness), 2 usage or input error, 3 search budget exceeded.  All CSV
-reports start with the versioned header line `# pcsp-lab v1`.
+no witness), 2 usage or input error, 3 search budget exceeded, 4 internal
+error (a self-check of pcsp failed).  All CSV reports start with the
+versioned header line `# pcsp-lab v1`.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from . import template_analyzer as ta
 from .core import Structure, env_node_budget, load_structure, save_structure
 from .errors import (
     BudgetExceededError,
+    InternalError,
     PcspError,
     PromiseViolationError,
     StructureParseError,
@@ -322,6 +324,9 @@ def main(argv=None):
     except BudgetExceededError as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(e, file=sys.stderr)
+        return 4
     except (PromiseViolationError, col.ColoringAborted) as e:
         print("failed: %s" % e, file=sys.stderr)
         return 1

@@ -118,7 +118,9 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
     if instance.signature != template.signature:
         raise ValueError("strategy requires a common signature")
     k = min(k, instance.n)
-    family = set(partial_homs(instance, template, k, budget or DEFAULT_MAP_BUDGET))
+    if budget is None:
+        budget = DEFAULT_MAP_BUDGET
+    family = set(partial_homs(instance, template, k, budget))
     if instance.n == 0:
         return frozenset({()}) if () in family else None
 

@@ -19,3 +19,10 @@ class StructureParseError(PcspError):
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
+
+
+class InternalError(PcspError):
+    """A self-check of pcsp failed: a bug, never a verdict about the input."""
+
+    def __init__(self, message):
+        super().__init__("internal error: " + message)

@@ -18,7 +18,7 @@ from .core import (
     hom_search,
     power,
 )
-from .errors import BudgetExceededError, PcspError
+from .errors import BudgetExceededError, InternalError
 
 DEFAULT_TABLE_BUDGET = 1_000_000
 
@@ -174,7 +174,7 @@ def has_wnu(left: Structure, right: Structure, m: int,
         table[cell] = h[class_of[cell]]
     f = OperationTable(m, left.n, right.n, tuple(table))
     if not is_wnu(f):
-        raise PcspError("internal error: WNU search returned a table that is not a WNU")
+        raise InternalError("WNU search returned a table that is not a WNU")
     return f
 
 

@@ -9,9 +9,10 @@ of degenerate pivots (guaranteeing termination).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import PcspError
+from .errors import InternalError
 
 LEQ = "<="
 EQ = "="
@@ -153,143 +154,101 @@ RHS = -1  # pseudo-column holding the right-hand side inside each integer row
 def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
     """Minimize the sum of artificials; returns a basic z-vector or None.
 
-    Fraction-free: every row is an integer dict (with the rhs at pseudo-column
-    RHS) standing for the true row divided by its positive basic coefficient;
-    pivots keep everything integral and divide out gcds to limit growth.
+    Fraction-free: every row is an integer dict, with its rhs at the
+    pseudo-column RHS, equal to the true row (basic coefficient 1) times a
+    positive scale; zero entries are never stored.  Artificial columns are
+    not stored either: an artificial that leaves the basis never re-enters,
+    so its column is never read.  ``obj`` is the phase-I reduced-cost row
+    times a positive scale, so ``obj[RHS]`` is the scaled sum of the
+    artificials and phase I ends when it reaches 0.  Artificials still basic
+    at that point sit at value 0 and may stay basic: the returned point
+    reads only the other basic variables.
     """
-    from math import gcd, lcm
-
     m = len(fr_rows)
     rows = []
     for i in range(m):
         den = lcm(fr_rhs[i].denominator,
                   *[v.denominator for v in fr_rows[i].values()] or [1])
         row = {c: int(v * den) for c, v in fr_rows[i].items()}
-        row[RHS] = int(fr_rhs[i] * den)
+        if fr_rhs[i]:
+            row[RHS] = int(fr_rhs[i] * den)
         rows.append(row)
 
-    basis = [None] * m
-    # slacks with +1 sign can serve as the initial basic variable of their row
-    art_cols = []
-    for i in range(m):
-        sc = slack_cols[i]
-        if sc is not None and sc[1] == 1:
-            basis[i] = sc[0]
-        else:
-            basis[i] = ncols + len(art_cols)
-            art_cols.append(basis[i])
-            # any positive coefficient works: it only rescales the artificial
-            rows[i][basis[i]] = 1
-    art_set = set(art_cols)
-
-    def art_rows_zero():
-        return all(rows[i].get(RHS, 0) == 0 for i in range(m) if basis[i] in art_set)
-
-    # reduced-cost row for cost = sum of artificials, as an integer row;
-    # positive entry on a structural column means pivoting it in reduces cost
+    # a +1 slack is the first basic variable of its row; any other row gets
+    # the artificial column ncols + i, with coefficient 1 in that row alone
+    basis = [sc[0] if sc is not None and sc[1] == 1 else ncols + i
+             for i, sc in enumerate(slack_cols)]
+    # the reduced-cost row of cost = sum of artificials is the sum of their
+    # rows; a positive entry marks a column whose entry reduces the cost
     obj = {}
     for i in range(m):
-        if basis[i] in art_set:
-            p = rows[i][basis[i]]
+        if basis[i] >= ncols:
             for c, v in rows[i].items():
-                obj[c] = obj.get(c, Fraction(0)) + Fraction(v, p)
-    for c in art_set:
-        obj[c] = obj.get(c, Fraction(0)) - 1
-    den = 1
-    for v in obj.values():
-        den = lcm(den, v.denominator)
-    obj = {c: int(v * den) for c, v in obj.items() if v}
+                obj[c] = obj.get(c, 0) + v
+    obj = {c: v for c, v in obj.items() if v}
 
     degenerate_run = 0
-    while not art_rows_zero():
-        candidates = [(c, v) for c, v in obj.items()
-                      if v > 0 and c >= 0 and c not in art_set]
-        # nonbasic artificials never need to re-enter
+    while obj.get(RHS, 0):
+        candidates = [(c, v) for c, v in obj.items() if v > 0 and c >= 0]
         if not candidates:
             break
         if degenerate_run >= DEGENERATE_SWITCH:
             entering = min(c for c, _ in candidates)
         else:
             entering = max(candidates, key=lambda cv: (cv[1], -cv[0]))[0]
+        hits = [i for i in range(m) if entering in rows[i]]
 
         # ratio test: minimize rhs/a over rows with positive entering entry,
         # compared by cross-multiplication; ties broken by smallest basic var
         leave = None
         bn = bd = None
-        for i in range(m):
-            a = rows[i].get(entering)
-            if a and a > 0:
+        for i in hits:
+            a = rows[i][entering]
+            if a > 0:
                 r = rows[i].get(RHS, 0)
                 if leave is None or r * bd < bn * a or (
                         r * bd == bn * a and basis[i] < basis[leave]):
                     bn, bd, leave = r, a, i
         if leave is None:
-            raise PcspError("phase-I objective unbounded; malformed system")
+            raise InternalError("phase-I objective unbounded; malformed system")
         degenerate_run = degenerate_run + 1 if bn == 0 else 0
 
-        _pivot(rows, obj, basis, leave, entering)
+        items = list(rows[leave].items())
+        for i in hits:
+            if i != leave:
+                rows[i] = _eliminate(rows[i], rows[i][entering], bd, items)
+        obj = _eliminate(obj, obj[entering], bd, items)
+        basis[leave] = entering
 
-    if not art_rows_zero():
+    if obj.get(RHS, 0):
         return None
-    # drive any remaining (degenerate) artificials out of the basis
-    for i in range(m):
-        if basis[i] in art_set:
-            entering = None
-            for c, v in rows[i].items():
-                if 0 <= c < ncols and v:
-                    entering = c
-                    break
-            if entering is not None:
-                if rows[i][entering] < 0:
-                    rows[i] = {c: -v for c, v in rows[i].items()}
-                _pivot(rows, obj, basis, i, entering)
-            # else the row is redundant; its artificial stays at value 0
     z = {}
-    for i in range(m):
-        b = basis[i]
-        if b is not None and b < ncols and b not in art_set:
+    for i, b in enumerate(basis):
+        if b < ncols:  # artificials still basic are 0 and not part of z
             z[b] = Fraction(rows[i].get(RHS, 0), rows[i][b])
     return z
 
 
 def _eliminate(row, a, p, items):
-    """row := (p*row - a*prow) / gcd, in place."""
-    from math import gcd
+    """Return (p*row - a*prow) / gcd, where ``items`` are prow's entries.
 
-    for c in row:
-        row[c] *= p
+    ``p`` > 0 is prow's entry and ``a`` row's entry in the entering column,
+    so the result is the same true row times a positive scale, with a zero
+    in that column.  When ``p == 1`` (most pivots) only prow's columns change
+    and ``row`` itself is updated; zero entries are deleted, not stored.
+    """
+    if p != 1:
+        row = {c: p * v for c, v in row.items()}
     for c, v in items:
         nv = row.get(c, 0) - a * v
         if nv:
             row[c] = nv
-        elif c in row:
+        else:
             del row[c]
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if g > 1:
-        for c in row:
-            row[c] //= g
-
-
-def _pivot(rows, obj, basis, leave, entering):
-    prow = rows[leave]
-    p = prow[entering]
-    if p < 0:
-        prow = {c: -v for c, v in prow.items()}
-        rows[leave] = prow
-        p = -p
-    items = list(prow.items())
-    for i in range(len(rows)):
-        if i == leave:
-            continue
-        a = rows[i].get(entering)
-        if a:
-            _eliminate(rows[i], a, p, items)
-    a = obj.get(entering)
-    if a:
-        _eliminate(obj, a, p, items)
-    basis[leave] = entering
+        row = {c: v // g for c, v in row.items()}
+    return row
 
 
 def feasible(lp: RationalLP) -> Verdict:
@@ -300,7 +259,7 @@ def feasible(lp: RationalLP) -> Verdict:
         return Verdict(False)
     point = recover(z)
     if not check_point(lp, point):
-        raise PcspError("internal error: simplex point fails a constraint")
+        raise InternalError("simplex point fails a constraint")
     return Verdict(True, point)
 
 
@@ -321,79 +280,3 @@ def check_point(lp: RationalLP, point) -> bool:
         if point[key] > hi:
             return False
     return True
-
-
-def feasible_by_basis_enumeration(lp: RationalLP) -> Verdict:
-    """Brute-force oracle: test all n-subsets of constraint boundaries.
-
-    Valid when the feasible region, if nonempty, has a vertex; callers ensure
-    this by bounding every variable.  Intended for small test LPs only.
-    """
-    from itertools import combinations
-
-    keys = list(lp.variables)
-    n = len(keys)
-    idx = {k: i for i, k in enumerate(keys)}
-
-    hyperplanes = []
-    checks = []
-    for coeffs, rel, rhs in lp.constraints:
-        vec = [Fraction(0)] * n
-        for k, c in coeffs.items():
-            vec[idx[k]] += c
-        hyperplanes.append((vec, rhs))
-        checks.append((vec, rel, rhs))
-    for k in keys:
-        if k in lp.lower:
-            vec = [Fraction(0)] * n
-            vec[idx[k]] = Fraction(1)
-            hyperplanes.append((vec, lp.lower[k]))
-            checks.append((vec, GEQ, lp.lower[k]))
-        if k in lp.upper:
-            vec = [Fraction(0)] * n
-            vec[idx[k]] = Fraction(1)
-            hyperplanes.append((vec, lp.upper[k]))
-            checks.append((vec, LEQ, lp.upper[k]))
-
-    def satisfies(x):
-        for vec, rel, rhs in checks:
-            val = sum(a * b for a, b in zip(vec, x))
-            if rel == LEQ and val > rhs:
-                return False
-            if rel == GEQ and val < rhs:
-                return False
-            if rel == EQ and val != rhs:
-                return False
-        return True
-
-    if n == 0:
-        ok = satisfies([])
-        return Verdict(ok, {} if ok else None)
-
-    for subset in combinations(range(len(hyperplanes)), n):
-        mat = [list(hyperplanes[i][0]) + [hyperplanes[i][1]] for i in subset]
-        x = _solve_square(mat, n)
-        if x is not None and satisfies(x):
-            return Verdict(True, {k: x[idx[k]] for k in keys})
-    return Verdict(False)
-
-
-def _solve_square(mat, n):
-    """Gaussian elimination on an n x (n+1) augmented matrix; None if singular."""
-    mat = [row[:] for row in mat]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [v / pv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]

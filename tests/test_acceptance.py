@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement, permutations, product as ip
 
 import networkx as nx
 import pytest
+from lp_oracle import feasible_by_basis_enumeration
 
 from pcsp import cli
 from pcsp import coloring as col
@@ -42,7 +43,6 @@ from pcsp.ratlp import (
     RationalLP,
     check_point,
     feasible,
-    feasible_by_basis_enumeration,
 )
 from pcsp.sherali_adams import check_sa1, condition_on, leq_sa, sa_solution, solve_sa
 from pcsp.template_analyzer import INCONCLUSIVE, NO_SUBLINEAR_WIDTH, classify

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pcsp import cli
+from pcsp import cli, ratlp
 from pcsp.consistency import parse_strategy
 from pcsp.core import (
     complete_graph,
@@ -78,6 +78,12 @@ class TestConsistency:
                          "--template", files["k2"], "--k", "3"])
         assert code == 3
 
+    def test_zero_budget_is_a_zero_budget(self, files, monkeypatch):
+        monkeypatch.setenv("PCSP_BUDGET_NODES", "0")
+        code = cli.main(["consistency", "--instance", files["c4"],
+                         "--template", files["k2"], "--k", "2"])
+        assert code == 3
+
 
 class TestSa:
     def test_infeasible(self, files):
@@ -91,6 +97,14 @@ class TestSa:
                          "--certificate", str(cert)]) == 0
         point = parse_certificate(cert.read_text())
         assert point
+
+    def test_failed_self_check_is_an_internal_error(self, files, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(ratlp, "check_point", lambda lp, point: False)
+        assert cli.main(["sa", "--instance", files["c4"],
+                         "--template", files["k2"], "--level", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: simplex point fails a constraint\n"
 
 
 class TestPolymorph:

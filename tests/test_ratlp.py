@@ -2,15 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from lp_oracle import feasible_by_basis_enumeration
 
 from pcsp import ratlp
+from pcsp.core import Structure, exactly_template
 from pcsp.errors import PcspError
-from pcsp.ratlp import (
-    RationalLP,
-    check_point,
-    feasible,
-    feasible_by_basis_enumeration,
-)
+from pcsp.ratlp import RationalLP, check_point, feasible
+from pcsp.sherali_adams import build_sa
 
 
 def random_lp(rng, n_vars=4, n_cons=6, bounded=True):
@@ -136,3 +135,76 @@ class TestDegenerate:
         v = feasible(lp)
         assert v.feasible
         assert len(set(v.point.values())) == 1
+
+
+class TestPinnedPath:
+    """Exact points of fixed LPs: a change to the pivot rule shows here."""
+
+    def test_sa2_one_in_three_point(self):
+        e13 = exactly_template(1, 3)
+        inst = Structure(e13.signature, 4, (("R", ((0, 1, 2), (1, 2, 3))),))
+        lp = build_sa(inst, e13, 2)
+        v = feasible(lp)
+        assert v.feasible
+        # the vertex of the homomorphism 0, 1, 3 -> 0 and 2 -> 1
+        support = {
+            ("x", ()), ("x", ((0, 0),)), ("x", ((1, 0),)), ("x", ((2, 1),)),
+            ("x", ((3, 0),)), ("x", ((0, 0), (1, 0))), ("x", ((0, 0), (2, 1))),
+            ("x", ((0, 0), (3, 0))), ("x", ((1, 0), (2, 1))),
+            ("x", ((1, 0), (3, 0))), ("x", ((2, 1), (3, 0))),
+        }
+        for f in ((), ((0, 0),), ((1, 0),), ((2, 1),), ((3, 0),)):
+            support.add(("lam", f, "R", (0, 1, 2), (0, 0, 1)))
+            support.add(("lam", f, "R", (1, 2, 3), (0, 1, 0)))
+        assert v.point == {k: F(int(k in support)) for k in lp.variables}
+
+    def test_general_lp_point(self):
+        lp = RationalLP()
+        lp.add_variable("a")
+        lp.add_variable("b")
+        lp.add_variable("c", 0, 5)
+        lp.add_variable("d", -2, 3)
+        lp.add_constraint({"a": 2, "b": -1, "c": 1}, "=", F(7, 2))
+        lp.add_constraint({"a": 1, "d": 3}, ">=", 4)
+        lp.add_constraint({"b": 1, "c": -2, "d": 1}, "<=", -1)
+        lp.add_constraint({"a": -1, "b": 1}, ">=", F(-5, 3))
+        v = feasible(lp)
+        assert v.point == {"a": F(14, 11), "b": F(0), "c": F(21, 22), "d": F(10, 11)}
+
+    def test_redundant_zero_rows_leave_an_artificial_basic(self):
+        # the four x = y rows are dependent, so three of them keep their
+        # artificial basic at value 0 to the end of phase I
+        lp = RationalLP()
+        for key in "xyz":
+            lp.add_variable(key, 0)
+        for _ in range(3):
+            lp.add_constraint({"x": 1, "y": -1}, "=", 0)
+        lp.add_constraint({"x": 2, "y": -2}, "=", 0)
+        lp.add_constraint({"y": 1, "z": -1}, "=", 0)
+        lp.add_constraint({"x": 1, "y": 1, "z": 1}, ">=", 3)
+        v = feasible(lp)
+        assert v.feasible and check_point(lp, v.point)
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with every variable bounded, so the oracle applies."""
+    lp = RationalLP()
+    nv = draw(st.integers(1, 3))
+    for j in range(nv):
+        lo = draw(st.integers(-3, 2))
+        lp.add_variable(j, lo, lo + draw(st.integers(0, 4)))
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = {j: draw(st.integers(-3, 3)) for j in range(nv)}
+        lp.add_constraint(coeffs, draw(st.sampled_from(["<=", "=", ">="])),
+                          F(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
+    return lp
+
+
+@given(small_lps())
+@settings(max_examples=80, deadline=None)
+def test_feasible_agrees_with_the_oracle(lp):
+    got = feasible(lp)
+    assert got.feasible == feasible_by_basis_enumeration(lp).feasible
+    if got.feasible:
+        assert check_point(lp, got.point)
