@@ -3,8 +3,8 @@
 Subcommands: analyze, consistency, sa, polymorph, sample, hard, color,
 bench.  Exit codes: 0 success, 1 negative verdict (no hom / infeasible /
 no witness), 2 usage or input error, 3 search budget exceeded, 4 internal
-error (a self-check of pcsp failed).  All CSV reports start with the
-versioned header line `# pcsp-lab v1`.
+error (a self-check of pcsp failed, or any other unexpected exception).
+All CSV reports start with the versioned header line `# pcsp-lab v1`.
 """
 
 import argparse
@@ -333,6 +333,10 @@ def main(argv=None):
     except (ValueError, PcspError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        # any other exception is a defect of pcsp, never a verdict
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

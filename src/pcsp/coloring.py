@@ -99,17 +99,21 @@ def planted_oracle(coloring: Dict[int, int]):
     return answer
 
 
+K3 = complete_graph(3)
+
+
 def exact_oracle(budget: int = 500_000):
-    """Backtracking 3-coloring of the induced subgraph; refuses on failure."""
+    """Backtracking 3-coloring of the induced subgraph.
+
+    Refuses (returns None) only when the subgraph has no 3-coloring; a
+    search that exceeds ``budget`` nodes raises ``BudgetExceededError``.
+    """
 
     def answer(g, subset):
         subset = sorted(subset)
         sub, index_map = induced_substructure(g, subset)
         sub = Structure(GRAPH_SIG, sub.n, (("E", sub.relations[0][1]),))
-        try:
-            h = hom_search(sub, complete_graph(3), budget=budget)
-        except PcspError:
-            return None
+        h = hom_search(sub, K3, budget=budget)
         if h is None:
             return None
         return {index_map[i]: h[i] for i in range(sub.n)}

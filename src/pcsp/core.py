@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, StructureParseError
@@ -264,90 +265,113 @@ def constraints_by_max(instance: Structure, template: Structure):
     return by_max
 
 
+def _support_table(template: Structure, sym: str, at: tuple, others: tuple) -> dict:
+    """Allowed values, as a bitmask, of the element at positions ``at`` of a
+    ``sym`` tuple, keyed by the values at positions ``others``: a scalar for
+    one other position, else a tuple (what ``itemgetter(*others)`` returns)."""
+    key = itemgetter(*others)
+    table = {}
+    for s in template.rel(sym):
+        v = s[at[0]]
+        if all(s[p] == v for p in at):
+            k = key(s)
+            table[k] = table.get(k, 0) | 1 << v
+    return table
+
+
 def _search(instance: Structure, template: Structure, fixed, budget, find_all):
-    """Backtracking with forward checking; ascending variable/value order."""
+    """Backtracking with forward checking; ascending variable/value order.
+
+    Elements are assigned in ascending order, so a tuple with two or more
+    distinct elements has one unassigned element, its largest, exactly when
+    its second-largest element is assigned.  That is when the tuple prunes
+    its largest element's domain, and the values left all satisfy it, so the
+    tuple needs no check later.  Tuples whose elements are all x are checked
+    when x is assigned.  Domains are bitmasks over the template; each prune
+    is one lookup in a support table of the template relation, and a trail
+    of (element, old domain) pairs undoes it.
+    """
     if instance.signature != template.signature:
         raise ValueError("homomorphism requires a common signature")
     n = instance.n
     tv = template.n
-
-    tuples_by_max = constraints_by_max(instance, template)
-    if tuples_by_max is None:
-        return iter(())
-    # in relation order: forward_prune stops at its first wipe-out, so the
-    # order of these lists sets its cost
-    tuples_by_elem = [[] for _ in range(n)]
-    for sym, tups in instance.relations:
-        target = template.rel_set(sym)
-        for t in tups:
-            for x in set(t):
-                tuples_by_elem[x].append((target, t))
-
-    domains = [set(range(tv)) for _ in range(n)]
-    assign = [-1] * n
+    domains = [(1 << tv) - 1] * n
     for x, a in (fixed or {}).items():
         if a < 0 or a >= tv:
             raise ValueError("fixed value %d out of template domain" % a)
-        domains[x] = {a}
+        domains[x] = 1 << a
 
-    nodes = [0]
-
-    def consistent_at(x):
-        # all tuples whose maximum element is x are now fully assigned
-        for target, t in tuples_by_max[x]:
-            if tuple(assign[e] for e in t) not in target:
-                return False
-        return True
-
-    def forward_prune(x):
-        """Prune domains of unassigned elements sharing a tuple with x.
-
-        Returns pruned (elem, removed-set) list, or None on wipe-out.
-        """
-        pruned = []
-        for target, t in tuples_by_elem[x]:
-            unassigned = [e for e in set(t) if assign[e] < 0]
-            if len(unassigned) != 1:
+    # prunes[x]: (y, key of the other positions, support table), in relation
+    # order; pruning stops at the first wipe-out, so the order sets its cost
+    prunes = [[] for _ in range(n)]
+    loops = [-1] * n  # loops[x]: values x may take in the tuples of x alone
+    tables = {}
+    for sym, tups in instance.relations:
+        target = template.rel_set(sym)
+        for t in tups:
+            if not t:
+                if () not in target:
+                    return iter(())
                 continue
-            y = unassigned[0]
-            allowed = set()
-            for val in domains[y]:
-                assign[y] = val
-                if tuple(assign[e] for e in t) in target:
-                    allowed.add(val)
-                assign[y] = -1
-            removed = domains[y] - allowed
-            if removed:
-                domains[y] -= removed
-                pruned.append((y, removed))
-                if not domains[y]:
-                    return pruned, True
-        return pruned, False
+            *rest, y = sorted(set(t))
+            if not rest:
+                loops[y] &= sum(1 << s[0] for s in target if s.count(s[0]) == len(s))
+                continue
+            at = tuple(p for p, e in enumerate(t) if e == y)
+            others = tuple(p for p, e in enumerate(t) if e != y)
+            table = tables.get((sym, at))
+            if table is None:
+                table = tables[sym, at] = _support_table(template, sym, at, others)
+            prunes[rest[-1]].append((y, itemgetter(*(t[p] for p in others)), table))
+    return _walk(n, domains, prunes, loops, budget, find_all)
 
-    def undo(pruned):
-        for y, removed in pruned:
-            domains[y] |= removed
 
-    def rec(x):
-        if x == n:
-            yield tuple(assign)
-            return
-        for val in sorted(domains[x]):
-            nodes[0] += 1
-            if nodes[0] > budget:
-                raise BudgetExceededError("homomorphism search exceeded %d nodes" % budget)
-            assign[x] = val
-            if consistent_at(x):
-                pruned, dead = forward_prune(x)
-                if not dead:
-                    for sol in rec(x + 1):
-                        yield sol
-                        if not find_all:
-                            return
-                undo(pruned)
-            assign[x] = -1
-
-    return rec(0)
+def _walk(n, domains, prunes, loops, budget, find_all):
+    """The depth-first search of ``_search`` on an explicit stack."""
+    if n == 0:
+        yield ()
+        return
+    assign = [0] * n
+    rest = [0] * n  # values of x not yet tried at this point of the walk
+    marks = [0] * n  # trail length when x was reached
+    trail = []
+    nodes = 0
+    x = 0
+    rest[0] = domains[0]
+    while x >= 0:
+        mark = marks[x]
+        while len(trail) > mark:
+            y, d = trail.pop()
+            domains[y] = d
+        r = rest[x]
+        if not r:
+            x -= 1
+            continue
+        low = r & -r
+        rest[x] = r ^ low
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("homomorphism search exceeded %d nodes" % budget)
+        if not loops[x] & low:
+            continue
+        assign[x] = low.bit_length() - 1
+        for y, key, table in prunes[x]:
+            d = domains[y]
+            nd = d & table.get(key(assign), 0)
+            if nd != d:
+                trail.append((y, d))
+                domains[y] = nd
+                if not nd:
+                    break
+        else:
+            if x + 1 < n:
+                x += 1
+                marks[x] = len(trail)
+                rest[x] = domains[x]
+            else:
+                yield tuple(assign)
+                if not find_all:
+                    return
 
 
 def hom_search(instance: Structure, template: Structure, fixed=None,
@@ -355,7 +379,10 @@ def hom_search(instance: Structure, template: Structure, fixed=None,
     """A canonical homomorphism witness, or None.
 
     Deterministic: ascending element order, ascending value order.  ``fixed``
-    optionally pins elements to template values.
+    optionally pins elements to template values.  The search keeps its own
+    stack, so it has no depth limit.  One budget node is one value tried at
+    one element; the search raises ``BudgetExceededError`` once it has tried
+    more than ``budget`` (default: ``node_budget()``).
     """
     it = _search(instance, template, fixed, node_budget(budget), find_all=False)
     for sol in it:

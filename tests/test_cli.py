@@ -10,6 +10,7 @@ from pcsp.core import (
     exactly_template,
     load_structure,
     nae_template,
+    path,
     save_structure,
 )
 from pcsp.coloring import Coloring, random_planted_graph, validate_coloring
@@ -105,6 +106,17 @@ class TestSa:
                          "--template", files["k2"], "--level", "2"]) == 4
         err = capsys.readouterr().err
         assert err == "internal error: simplex point fails a constraint\n"
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_exit_4(self, files, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.cons, "compute_strategy", broken)
+        assert cli.main(["consistency", "--instance", files["c4"],
+                         "--template", files["k2"], "--k", "2"]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 class TestPolymorph:
@@ -205,6 +217,15 @@ class TestColor:
         out = tmp_path / "col.txt"
         assert cli.main(["color", "--graph", str(gpath), "--mode", "baseline",
                          "--epsilon", "0.5", "--out", str(out)]) == 0
+
+    def test_baseline_exact_oracle_on_a_long_path(self, tmp_path):
+        gpath = tmp_path / "p3000.struct"
+        save_structure(path(3000), str(gpath))
+        out = tmp_path / "col.txt"
+        assert cli.main(["color", "--graph", str(gpath), "--mode", "baseline",
+                         "--epsilon", "0.01", "--out", str(out)]) == 0
+        colors = self._read_coloring(out)
+        assert validate_coloring(path(3000), Coloring(colors, max(colors.values()) + 1))
 
     def test_promise_violation(self, tmp_path):
         k5 = complete_graph(5)

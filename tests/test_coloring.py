@@ -19,7 +19,7 @@ from pcsp.coloring import (
     validate_coloring,
     wigderson_color,
 )
-from pcsp.errors import PromiseViolationError
+from pcsp.errors import BudgetExceededError, PromiseViolationError
 
 
 def cycle_graph(n):
@@ -158,6 +158,15 @@ class TestWigderson:
         g = make_graph(5, [(i, j) for i, j in itertools.combinations(range(5), 2)])
         with pytest.raises(PromiseViolationError):
             wigderson_color(g, exact_oracle())
+
+    def test_exhausted_budget_is_not_a_refusal(self):
+        g, _ = random_planted_graph(20, 0.3, seed=3)
+        with pytest.raises(BudgetExceededError):
+            exact_oracle(budget=1)(g, range(g.n))
+        # on K5 the oracle search is cut short before it can refuse
+        k5 = make_graph(5, [(i, j) for i, j in itertools.combinations(range(5), 2)])
+        with pytest.raises(BudgetExceededError):
+            wigderson_color(k5, exact_oracle(budget=1))
 
 
 class TestGeneralized:

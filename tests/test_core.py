@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcsp.core import (
+    GRAPH_SIG,
     Relation,
     Signature,
     Structure,
@@ -29,11 +30,81 @@ from pcsp.core import (
 from pcsp.errors import BudgetExceededError, StructureParseError
 
 
-def brute_force_hom(instance, template):
-    for mapping in itertools.product(range(template.n), repeat=instance.n):
-        if is_homomorphism(mapping, instance, template):
-            return mapping
-    return None
+def brute_force_homs(instance, template):
+    """All homomorphisms, in lexicographic order."""
+    return [mapping for mapping in itertools.product(range(template.n), repeat=instance.n)
+            if is_homomorphism(mapping, instance, template)]
+
+
+def _graph(n, edges):
+    return Structure(GRAPH_SIG, n, (("E", tuple(edges) + tuple((v, u) for u, v in edges)),))
+
+
+def _k2_refutation():
+    edges = [(1, 8), (2, 21), (3, 9), (3, 17), (3, 19), (4, 9), (4, 16), (4, 19), (6, 18),
+             (6, 20), (8, 17), (9, 12), (10, 15), (10, 19), (11, 13), (11, 15), (12, 13),
+             (14, 16), (15, 16), (15, 17)]
+    return _graph(22, edges), complete_graph(2), None, 1054, None
+
+
+def _k3_refutation():
+    edges = [(0, 6), (0, 8), (0, 10), (0, 11), (0, 13), (1, 4), (1, 5), (1, 7), (1, 8),
+             (1, 10), (1, 11), (1, 12), (2, 9), (2, 10), (2, 12), (3, 4), (3, 5), (3, 6),
+             (3, 7), (3, 8), (3, 9), (3, 10), (3, 12), (4, 7), (4, 9), (4, 11), (5, 8),
+             (5, 11), (6, 8), (6, 9), (6, 10), (6, 13), (7, 8), (7, 10), (7, 12), (7, 13),
+             (8, 11), (8, 13), (10, 11), (10, 13), (11, 12), (12, 13)]
+    return _graph(14, edges), complete_graph(3), None, 264, None
+
+
+def _nae3_refutation():
+    triples = [(0, 1, 10), (0, 2, 5), (0, 5, 7), (1, 5, 0), (2, 3, 10), (2, 11, 8),
+               (3, 1, 0), (3, 7, 4), (4, 7, 11), (4, 8, 10), (4, 9, 3), (5, 2, 4),
+               (5, 2, 9), (5, 6, 10), (5, 7, 2), (5, 8, 7), (5, 9, 11), (5, 10, 7),
+               (6, 7, 8), (7, 5, 9), (7, 6, 8), (7, 8, 10), (7, 10, 3), (8, 2, 11),
+               (8, 4, 0), (8, 5, 9), (8, 5, 11), (8, 11, 9), (9, 0, 11), (9, 6, 4),
+               (9, 10, 0), (10, 2, 6), (10, 6, 8), (10, 8, 2), (11, 3, 7), (11, 8, 7)]
+    nae = nae_template(3)
+    return Structure(nae.signature, 12, (("R", tuple(triples)),)), nae, None, 174, None
+
+
+def _k3_fixed():
+    edges = [(0, 6), (0, 11), (0, 12), (1, 4), (1, 6), (1, 10), (1, 11), (1, 15), (2, 4),
+             (2, 6), (2, 12), (2, 14), (3, 8), (3, 10), (4, 15), (5, 6), (5, 10), (5, 13),
+             (5, 14), (6, 8), (6, 12), (7, 8), (7, 14), (7, 15), (8, 11), (8, 14), (9, 10),
+             (9, 14), (10, 12), (14, 15)]
+    witness = (2, 2, 2, 2, 1, 0, 1, 2, 0, 2, 1, 1, 0, 1, 1, 0)
+    return _graph(16, edges), complete_graph(3), {0: 2, 9: 2, 15: 0}, 175, witness
+
+
+_REPEATED_SIG = Signature((("R", 3), ("U", 1)))
+_REPEATED_TEMPLATE = Structure(_REPEATED_SIG, 3, (
+    ("R", ((0, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 2, 0), (1, 2, 2), (2, 0, 0),
+           (2, 0, 1), (2, 1, 2), (2, 2, 0), (2, 2, 1))),
+    ("U", ((1,), (2,)))))
+
+
+def _repeated_elements():
+    r = ((0, 1, 4), (2, 2, 2), (2, 8, 2), (3, 2, 3), (3, 4, 6), (3, 8, 3), (4, 4, 7),
+         (4, 8, 8), (5, 9, 1))
+    inst = Structure(_REPEATED_SIG, 10, (("R", r), ("U", ((0,), (1,), (7,)))))
+    return inst, _REPEATED_TEMPLATE, None, 62, (1, 2, 0, 1, 2, 1, 0, 1, 0, 0)
+
+
+def _repeated_elements_refutation():
+    r = ((0, 9, 9), (3, 0, 8), (3, 7, 3), (4, 6, 6), (5, 5, 1), (5, 6, 6), (5, 8, 5),
+         (6, 6, 8), (7, 7, 6), (7, 7, 7), (7, 7, 8), (8, 1, 8), (8, 5, 5), (8, 8, 8))
+    inst = Structure(_REPEATED_SIG, 10, (("R", r), ("U", ((4,), (7,), (9,)))))
+    return inst, _REPEATED_TEMPLATE, None, 330, None
+
+
+PINNED_TREES = {
+    "k2-refutation": _k2_refutation,
+    "k3-refutation": _k3_refutation,
+    "nae3-refutation": _nae3_refutation,
+    "k3-fixed": _k3_fixed,
+    "repeated-elements": _repeated_elements,
+    "repeated-elements-refutation": _repeated_elements_refutation,
+}
 
 
 class TestConstructors:
@@ -234,22 +305,40 @@ class TestHomSearch:
         h = hom_search(cycle(4), complete_graph(2), fixed={0: 1})
         assert h == (1, 0, 1, 0)
 
+    def test_no_depth_limit(self):
+        h = hom_search(path(5000), complete_graph(2))
+        assert h == tuple(i % 2 for i in range(5000))
+
+    @pytest.mark.parametrize("case", sorted(PINNED_TREES))
+    def test_search_tree_is_pinned(self, case):
+        # the search completes after exactly `nodes` nodes (values tried);
+        # the count changes with the variable order, value order or pruning
+        instance, template, fixed, nodes, witness = PINNED_TREES[case]()
+        with pytest.raises(BudgetExceededError):
+            hom_search(instance, template, fixed=fixed, budget=nodes - 1)
+        assert hom_search(instance, template, fixed=fixed, budget=nodes) == witness
+
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_matches_exhaustive_enumeration(self, data):
         n = data.draw(st.integers(1, 4))
         tn = data.draw(st.integers(1, 3))
-        ar = data.draw(st.integers(1, 3))
-        sig = Signature((("R", ar),))
-        itups = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * ar), max_size=5))
-        ttups = data.draw(st.lists(st.tuples(*[st.integers(0, tn - 1)] * ar), max_size=6))
-        inst = Structure(sig, n, (("R", tuple(itups)),))
-        tmpl = Structure(sig, tn, (("R", tuple(ttups)),))
-        got = hom_search(inst, tmpl)
-        expected = brute_force_hom(inst, tmpl)
-        assert (got is None) == (expected is None)
-        if got is not None:
-            assert is_homomorphism(got, inst, tmpl)
+        arities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+        sig = Signature(tuple(("R%d" % i, ar) for i, ar in enumerate(arities)))
+
+        def relation(size, max_size):
+            # tuples over few elements, so loops and repeated elements are common
+            return tuple(data.draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * ar),
+                                            max_size=max_size)) for ar in arities)
+
+        inst = Structure(sig, n, tuple(zip(sig.names, relation(n, 5))))
+        tmpl = Structure(sig, tn, tuple(zip(sig.names, relation(tn, 6))))
+        fixed = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, tn - 1),
+                                          max_size=2))
+        homs = brute_force_homs(inst, tmpl)
+        assert list(enumerate_homomorphisms(inst, tmpl)) == homs
+        pinned = [h for h in homs if all(h[x] == a for x, a in fixed.items())]
+        assert hom_search(inst, tmpl, fixed=fixed) == (pinned[0] if pinned else None)
 
 
 class TestTextFormat:
