@@ -137,6 +137,11 @@ def cmd_hard(args):
         from dataclasses import replace
 
         params = replace(params, d=args.d)
+        params = replace(params, conditions=ri.check_conditions(params))
+    failed = [name for name, ok in params.conditions.items() if not ok]
+    if failed:
+        print("warning: conditions not met: %s" % ", ".join(failed),
+              file=sys.stderr)
     inst, diag = ri.generate_hard_instance(left, right, args.n, params,
                                            args.seed, args.attempts)
     if args.report:

@@ -3,12 +3,15 @@
 A k-strategy on (I, S) is a nonempty family of partial homomorphisms that is
 closed under restrictions and has the extension property up to domain size k.
 ``compute_strategy`` starts from all partial homomorphisms with domain of size
-at most k and removes violating maps until a fixed point; the result, if
-nonempty, is the unique maximal k-strategy.  The classical name for this
-procedure is (k-1)-consistency; we index by the strategy domain size k.
+at most k and removes violating maps, by support counting, until a fixed
+point; the result, if nonempty, is the unique maximal k-strategy.  The
+classical name for this procedure is (k-1)-consistency; we index by the
+strategy domain size k.
 """
 
-from itertools import groupby
+from array import array
+from bisect import bisect_left
+from itertools import compress, groupby
 from math import comb
 from typing import Optional
 
@@ -94,24 +97,18 @@ def _extensions(h, instance_n, template_n):
             yield [partial_map(h + ((x, a),)) for a in range(template_n)]
 
 
-def _violates(h, k, family, instance_n, template_n):
-    """True if h lacks a restriction or a required extension in family."""
-    for r in _restrictions(h):
-        if r not in family:
-            return True
-    if len(h) < k:
-        for exts in _extensions(h, instance_n, template_n):
-            if not any(g in family for g in exts):
-                return True
-    return False
-
-
 def compute_strategy(instance: Structure, template: Structure, k: int,
                      budget: Optional[int] = None):
     """The maximal k-strategy on (I, S), or None if none exists.
 
     Returns a frozenset of partial maps (sorted (element, value) pair tuples).
-    The fixed point is independent of removal order.
+    The maximal k-strategy is unique, so the result does not depend on the
+    order of removals.  It is found by support counting (Cooper 1989, "An
+    optimal k-consistency algorithm"; its arc-consistency form is AC-4 of
+    Mohr & Henderson 1986): each map h with |dom h| < k keeps, for each x
+    outside its domain, a counter of the live extensions of h at x.  A
+    removed map decrements the counters of its restrictions and removes its
+    extensions; a counter that reaches 0 removes its map.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -120,26 +117,78 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
     k = min(k, instance.n)
     if budget is None:
         budget = DEFAULT_MAP_BUDGET
-    family = set(partial_homs(instance, template, k, budget))
-    if instance.n == 0:
-        return frozenset({()}) if () in family else None
-
-    # worklist removal: when h is removed, only its restrictions (which lose
-    # an extension) and extensions (which lose a restriction) can newly fail
-    work = set(family)
-    while work:
-        h = work.pop()
-        if h not in family:
-            continue
-        if _violates(h, k, family, instance.n, template.n):
-            family.discard(h)
-            work.update(r for r in _restrictions(h) if r in family)
-            if len(h) < k:
-                for exts in _extensions(h, instance.n, template.n):
-                    work.update(g for g in exts if g in family)
-    if not family:
+    maps = partial_homs(instance, template, k, budget)
+    if not maps:
         return None
-    return frozenset(family)
+    alive = _support_counting(maps, instance.n, template.n, k)
+    if not alive[0]:
+        return None
+    return frozenset(compress(maps, alive))
+
+
+def _support_counting(maps, n, t, k):
+    """Live flags of the maps of the maximal k-strategy inside ``maps``.
+
+    ``maps`` is the output of ``partial_homs``, ordered by size, so the maps
+    with |dom| < k are the ids below ``small``.  Slot h*n + x stands for the
+    pair (h, x) of such a map h and an element x: ``count[slot]`` is the
+    number of live extensions of h at x, and ``ext[slot*t + a]`` is the id
+    of h + (x, a), or -1.  ``links`` holds the co-dimension-1 restrictions
+    of each map as slots, s of them for a map of size s, in id order; the
+    last one drops the largest element, which gives the parent that
+    ``partial_homs`` extended.
+    """
+    m = len(maps)
+    first = [bisect_left(maps, s, key=len) for s in range(k + 2)]
+    small = first[k]
+    count = array("i", [0]) * (small * n)
+    ext = array("i", [-1]) * (small * n * t)
+    links = array("i")
+    offset = [0] * (k + 1)  # offset[s]: the first link of the maps of size s
+    index = dict(zip(maps[:small], range(small)))
+    for s in range(1, k + 1):
+        offset[s] = len(links)
+        for g in range(first[s], first[s + 1]):
+            h = maps[g]
+            x, a = h[-1]
+            p = index[h[:-1]]
+            start = offset[s - 1] + (p - first[s - 1]) * (s - 1)
+            # h without d is p without d, extended by (x, a); the slot of
+            # p without d is r*n + d, so r*n + x is the slot of that extension
+            for (d, v), ps in zip(h, links[start:start + s - 1]):
+                slot = ext[(ps - d + x) * t + a] * n + d
+                links.append(slot)
+                ext[slot * t + v] = g
+                count[slot] += 1
+            slot = p * n + x
+            links.append(slot)
+            ext[slot * t + a] = g
+            count[slot] += 1
+    del index
+
+    alive = bytearray(b"\x01") * m
+    # no link counts slot h*n + x for x in dom h, so h has |h| such zeros
+    dead = [h for h in range(small)
+            if count[h * n:(h + 1) * n].count(0) > len(maps[h])]
+    for h in dead:
+        alive[h] = 0
+    while dead:
+        g = dead.pop()
+        s = len(maps[g])
+        start = offset[s] + (g - first[s]) * s
+        for slot in links[start:start + s]:
+            r = slot // n
+            if alive[r]:
+                count[slot] -= 1
+                if not count[slot]:
+                    alive[r] = 0
+                    dead.append(r)
+        if g < small:
+            for e in ext[g * n * t:(g + 1) * n * t]:
+                if e >= 0 and alive[e]:
+                    alive[e] = 0
+                    dead.append(e)
+    return alive
 
 
 def leq_k(instance: Structure, template: Structure, k: int,

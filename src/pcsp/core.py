@@ -297,6 +297,8 @@ def _search(instance: Structure, template: Structure, fixed, budget, find_all):
     tv = template.n
     domains = [(1 << tv) - 1] * n
     for x, a in (fixed or {}).items():
+        if x not in range(n):
+            raise ValueError("fixed element %r out of instance domain" % (x,))
         if a < 0 or a >= tv:
             raise ValueError("fixed value %d out of template domain" % a)
         domains[x] = 1 << a

@@ -171,6 +171,16 @@ class TestHard:
         assert lines[1] == "attempt,hom_found,sparse,exact,reason"
         assert code in (0, 1)
 
+    def test_failed_conditions_go_to_stderr(self, files, capsys):
+        # with d = 1/2, C6 (1 <= d <= n^(r-1)) fails as well as the recipe's
+        # C3 and C7; stdout carries only the verdict
+        code = cli.main(["hard", "--left", files["k3"], "--right", files["k2"],
+                         "--n", "12", "--seed", "1", "--attempts", "5",
+                         "--d", "1/2"])
+        out, err = capsys.readouterr()
+        assert out == ("found\n" if code == 0 else "no instance in 5 attempts\n")
+        assert err == "warning: conditions not met: C3, C6, C7\n"
+
     def test_zero_attempts(self, files, tmp_path):
         assert cli.main(["hard", "--left", files["k3"], "--right", files["k2"],
                          "--n", "12", "--attempts", "0", "--d", "5"]) == 1

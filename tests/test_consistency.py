@@ -50,6 +50,61 @@ class TestComputeStrategy:
             complete_graph(3), complete_graph(3), 2, budget=100) if h in s)
         assert is_strategy(s, complete_graph(3), complete_graph(3), 2)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_greatest_fixed_point(self, data):
+        inst, tmpl = random_pair(data)
+        k = data.draw(st.integers(1, 5))
+        reference = greatest_fixed_point(inst, tmpl, k)
+        assert compute_strategy(inst, tmpl, k) == (frozenset(reference) or None)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_unsatisfied_nullary_relation_has_no_strategy(self, n):
+        sig = Signature((("Z", 0), ("E", 2)))
+        inst = Structure(sig, n, (("Z", ((),)), ("E", ())))
+        tmpl = Structure(sig, 2, (("Z", ()), ("E", ((0, 1), (1, 0)))))
+        assert compute_strategy(inst, tmpl, 2) is None
+
+    def test_empty_instance_with_satisfied_nullary_relation(self):
+        sig = Signature((("Z", 0),))
+        inst = Structure(sig, 0, (("Z", ((),)),))
+        tmpl = Structure(sig, 1, (("Z", ((),)),))
+        assert compute_strategy(inst, tmpl, 1) == frozenset({()})
+
+
+def random_pair(data, n_max=4, tn_max=3):
+    """1-2 symbols of arity 0-3 over few elements, so loops, repeated elements
+    and nullary tuples are common."""
+    arities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    sig = Signature(tuple(("R%d" % i, ar) for i, ar in enumerate(arities)))
+
+    def structure(n, max_size):
+        return Structure(sig, n, tuple(
+            (name, tuple(data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * ar),
+                                            max_size=max_size))))
+            for name, ar in zip(sig.names, arities)))
+
+    return (structure(data.draw(st.integers(1, n_max)), 5),
+            structure(data.draw(st.integers(1, tn_max)), 6))
+
+
+def greatest_fixed_point(instance, template, k):
+    """The maximal k-strategy by brute force: each round removes every map
+    that lacks a restriction or, below size k, an extension at some element
+    outside its domain, until a round removes nothing."""
+    k = min(k, instance.n)
+    family = set(brute_force_partial_homs(instance, template, k))
+    while True:
+        keep = {h for h in family
+                if all(h[:i] + h[i + 1:] in family for i in range(len(h)))
+                and (len(h) == k or all(
+                    any(tuple(sorted(h + ((x, a),))) in family
+                        for a in range(template.n))
+                    for x in range(instance.n) if x not in dict(h)))}
+        if keep == family:
+            return family
+        family = keep
+
 
 def brute_force_partial_homs(instance, template, k):
     """Every map with |dom| <= min(k, n), in (size, domain, values) order, filtered."""

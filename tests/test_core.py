@@ -26,6 +26,7 @@ from pcsp.core import (
     product_relation,
     projection,
     union,
+    _search,
 )
 from pcsp.errors import BudgetExceededError, StructureParseError
 
@@ -304,6 +305,13 @@ class TestHomSearch:
     def test_fixed_assignment(self):
         h = hom_search(cycle(4), complete_graph(2), fixed={0: 1})
         assert h == (1, 0, 1, 0)
+
+    @pytest.mark.parametrize("fixed", [{-1: 0}, {4: 0}, {0: 0, 7: 1}, {0: 2}])
+    def test_fixed_out_of_range_is_rejected_eagerly(self, fixed):
+        with pytest.raises(ValueError):
+            hom_search(cycle(4), complete_graph(2), fixed=fixed)
+        with pytest.raises(ValueError):  # before the first value is tried
+            _search(cycle(4), complete_graph(2), fixed, budget=0, find_all=True)
 
     def test_no_depth_limit(self):
         h = hom_search(path(5000), complete_graph(2))

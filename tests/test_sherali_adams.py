@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pcsp.consistency import leq_k, partial_homs
+from pcsp.consistency import compute_strategy, is_strategy, leq_k, partial_homs
 from pcsp.core import (
     Signature,
     Structure,
@@ -108,14 +109,27 @@ class TestLeqSA:
             if leq_sa(inst, tmpl, 3):
                 assert leq_sa(inst, tmpl, 2)
 
-    def test_support_is_strategy(self):
-        from pcsp.consistency import is_strategy
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_support_is_strategy(self, data):
+        # the nonzero support of a feasible point is closed and extendible,
+        # so it lies inside the maximal k-strategy
+        ar = data.draw(st.integers(1, 3))
+        sig = Signature((("R", ar),))
 
-        v = solve_sa(cycle(4), complete_graph(2), 2)
-        assert v.feasible
-        support = strategy_from_solution(sa_solution(v.point))
-        # nonzero support of a feasible point is closed and extendible
-        assert is_strategy(support, cycle(4), complete_graph(2), 2)
+        def structure(n, min_size, max_size):
+            tups = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * ar),
+                                      min_size=min_size, max_size=max_size))
+            return Structure(sig, n, (("R", tuple(tups)),))
+
+        inst = structure(data.draw(st.integers(1, 4)), 1, 3)
+        tmpl = structure(data.draw(st.integers(1, 3)), 1, 4)
+        k = data.draw(st.integers(1, 2))
+        v = solve_sa(inst, tmpl, k)
+        if v.feasible:
+            support = strategy_from_solution(sa_solution(v.point))
+            assert is_strategy(support, inst, tmpl, k)
+            assert support <= compute_strategy(inst, tmpl, k)
 
 
 class TestConditioning:
