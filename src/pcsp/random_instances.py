@@ -10,6 +10,7 @@ are conservative.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
@@ -57,20 +58,27 @@ def p1(r: int, d, n: int, q: int):
 
 
 def p2(r: int, d, n: int, alpha, beta):
-    """Upper bound on P[sample is not (alpha, beta)-sparse]."""
+    """Upper bound on P[sample is not (alpha, beta)-sparse].
+
+    The sum over v = 1..floor(alpha*n) of base(v)^v, where base(v) is
+    (n/v)^(1-(r-1)beta) d^beta e^(1+(r+1)beta) r^(-r beta) beta^(-beta).
+    """
     if r < 2 or n < 1:
         raise ValueError("need r >= 2, n >= 1")
     d, alpha_, beta_ = _ivnum(d), _ivnum(alpha), _ivnum(beta)
     vmax = int(Fraction(alpha) * n) if isinstance(alpha, (int, Fraction)) \
         else int(_upper(alpha_ * n))
+    # the four factors after (n/v)^e do not depend on v; each base is still
+    # multiplied out left to right, so every term is the same interval
+    nn = iv.mpf(n)
+    e = 1 - (r - 1) * beta_
+    f2 = d ** beta_
+    f3 = iv.exp(1 + (r + 1) * beta_)
+    f4 = iv.mpf(r) ** (-r * beta_)
+    f5 = beta_ ** (-beta_)
     total = iv.mpf(0)
     for v in range(1, vmax + 1):
-        base = ((iv.mpf(n) / v) ** (1 - (r - 1) * beta_)
-                * d ** beta_
-                * iv.exp(1 + (r + 1) * beta_)
-                * iv.mpf(r) ** (-r * beta_)
-                * beta_ ** (-beta_))
-        total += base ** v
+        total += ((nn / v) ** e * f2 * f3 * f4 * f5) ** v
     return _upper(total)
 
 
@@ -146,8 +154,8 @@ def is_alpha_beta_sparse(struct: Structure, alpha, beta,
     """Every v-element substructure with v <= alpha*n has < beta*v tuples.
 
     Exact subset enumeration when the domain is small; otherwise a peeling
-    heuristic whose witnesses are always sound but whose "sparse" answers
-    are not certificates (exact=False).
+    heuristic in O(m log n) time for m tuples, whose witnesses are always
+    sound but whose "sparse" answers are not certificates (exact=False).
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -162,34 +170,48 @@ def is_alpha_beta_sparse(struct: Structure, alpha, beta,
                     return SparsityVerdict(False, subset, True)
         return SparsityVerdict(True, None, True)
 
-    # heuristic: peel minimum-degree elements from the support and test
-    # every intermediate subset that is small enough
-    degree = {x: 0 for x in range(n)}
-    incident = {x: [] for x in range(n)}
+    # heuristic: peel minimum-degree elements (ties by element) from the
+    # support and test every intermediate subset that is small enough; a
+    # heap of (degree, element) entries finds the minimum, and an entry
+    # whose element is gone or whose degree has dropped since is skipped
+    a, b = beta.numerator, beta.denominator
+    degree = [0] * n
+    incident = [[] for _ in range(n)]
     all_tuples = []
     for _, tups in struct.relations:
         for t in tups:
-            all_tuples.append(set(t))
-            for x in set(t):
+            members = tuple(set(t))
+            for x in members:
                 degree[x] += 1
-                incident[x].append(len(all_tuples) - 1)
-    live = set(x for x in range(n) if degree[x] > 0)
-    alive = [True] * len(all_tuples)
+                incident[x].append(len(all_tuples))
+            all_tuples.append(members)
+    live = bytearray(n)
+    heap = []
+    for x in range(n):
+        if degree[x]:
+            live[x] = 1
+            heap.append((degree[x], x))
+    heapify(heap)
+    alive = bytearray(b"\x01") * len(all_tuples)
     count = len(all_tuples)
-    while live:
-        v = len(live)
-        if v <= vmax and count >= beta * v:
-            witness = tuple(sorted(live))
+    v = len(heap)
+    while v:
+        if v <= vmax and count * b >= a * v:
+            witness = tuple(x for x in range(n) if live[x])
             return SparsityVerdict(False, witness, False)
-        x = min(live, key=lambda y: (degree[y], y))
-        live.discard(x)
+        deg, x = heappop(heap)
+        while not live[x] or deg != degree[x]:
+            deg, x = heappop(heap)
+        live[x] = 0
+        v -= 1
         for ti in incident[x]:
             if alive[ti]:
-                alive[ti] = False
+                alive[ti] = 0
                 count -= 1
                 for y in all_tuples[ti]:
-                    if y in live:
+                    if live[y]:
                         degree[y] -= 1
+                        heappush(heap, (degree[y], y))
     return SparsityVerdict(True, None, False)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from pcsp.core import (
@@ -28,6 +29,7 @@ from pcsp.random_instances import (
     hypergraph_signature,
     is_alpha_beta_sparse,
     is_boundary_set,
+    SparsityVerdict,
     p1,
     p2,
     sample_hypergraph,
@@ -39,6 +41,67 @@ import random
 
 def graph(n, edges):
     return Structure(hypergraph_signature(2), n, (("R", tuple(edges)),))
+
+
+def reference_peel(struct, alpha, beta):
+    """The peeling heuristic of is_alpha_beta_sparse as first written: an
+    O(n) scan for each minimum-degree element (ties by element)."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    n = struct.n
+    vmax = min(n, int(alpha * n))
+    degree = {x: 0 for x in range(n)}
+    incident = {x: [] for x in range(n)}
+    all_tuples = []
+    for _, tups in struct.relations:
+        for t in tups:
+            all_tuples.append(set(t))
+            for x in set(t):
+                degree[x] += 1
+                incident[x].append(len(all_tuples) - 1)
+    live = set(x for x in range(n) if degree[x] > 0)
+    alive = [True] * len(all_tuples)
+    count = len(all_tuples)
+    while live:
+        v = len(live)
+        if v <= vmax and count >= beta * v:
+            return SparsityVerdict(False, tuple(sorted(live)), False)
+        x = min(live, key=lambda y: (degree[y], y))
+        live.discard(x)
+        for ti in incident[x]:
+            if alive[ti]:
+                alive[ti] = False
+                count -= 1
+                for y in all_tuples[ti]:
+                    if y in live:
+                        degree[y] -= 1
+    return SparsityVerdict(True, None, False)
+
+
+@st.composite
+def peel_inputs(draw):
+    """Structures above the exact limit: random tuples (repeated elements
+    allowed, one or two symbols), or circulant ones, which are regular and
+    so tie every degree, each with some elements left isolated."""
+    n = draw(st.integers(17, 48))
+    r = draw(st.integers(2, 3))
+    used = draw(st.integers(r, n))  # elements from `used` on stay isolated
+    if draw(st.booleans()):
+        shifts = draw(st.lists(st.integers(1, used - 1), min_size=r - 1,
+                               max_size=r - 1, unique=True))
+        width = draw(st.integers(1, 3))
+        tups = tuple(sorted({tuple(sorted({(i + j * s) % used
+                                            for s in [0] + shifts}))
+                             for i in range(used) for j in range(1, width + 1)}))
+        tups = tuple(t for t in tups if len(t) == r)
+        sig, rels = hypergraph_signature(r), (("R", tups),)
+    else:
+        elem = st.integers(0, used - 1)
+        sig = Signature((("R", r), ("S", 2)))
+        rels = (("R", tuple(draw(st.lists(st.tuples(*[elem] * r), max_size=3 * n)))),
+                ("S", tuple(draw(st.lists(st.tuples(elem, elem), max_size=n)))))
+    alpha = Fraction(draw(st.integers(1, 8)), 8)
+    beta = Fraction(draw(st.integers(1, 24)), 8)
+    return Structure(sig, n, rels), alpha, beta
 
 
 def clique(p):
@@ -133,6 +196,24 @@ class TestSparsity:
         v = is_alpha_beta_sparse(s, 1, Fraction(3, 2))
         assert v.sparse and not v.exact
 
+    @given(peel_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_heap_peel_matches_the_reference_peel(self, case):
+        struct, alpha, beta = case
+        assert is_alpha_beta_sparse(struct, alpha, beta) == \
+            reference_peel(struct, alpha, beta)
+
+    def test_peel_ties_break_by_element(self):
+        # two 5-cycles and 11 isolated elements: every degree ties, so the
+        # peel takes the cycle on 0..4 apart first and the other one is
+        # the witness
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+        s = graph(21, edges)
+        v = is_alpha_beta_sparse(s, Fraction(1, 4), 1)
+        assert v == reference_peel(s, Fraction(1, 4), 1)
+        assert v == SparsityVerdict(False, (5, 6, 7, 8, 9), False)
+
 
 class TestProbabilityBounds:
     def test_p1_matches_two_to_minus_n_at_recipe_d(self):
@@ -164,6 +245,15 @@ class TestProbabilityBounds:
             base = (v / n) ** ((r - 1) * 1 - 1) * d * math.exp(5) * 3 ** -3
             assert base < 1 / 3
         assert p2(r, d, n, alpha, beta) < mpf("0.5")
+
+    def test_p2_pinned_on_the_recipe_shapes(self):
+        # derive_parameters(3, 1, 2, 100, 1/4) and (2, 1, 3, 500, 1/4)
+        r3 = derive_parameters(3, 1, 2, 100, Fraction(1, 4))
+        assert p2(3, r3.d, 100, r3.alpha, r3.beta)._mpf_ == \
+            (0, 2459233311030531, 12178, 52)
+        r2 = derive_parameters(2, 1, 3, 500, Fraction(1, 4))
+        assert p2(2, r2.d, 500, r2.alpha, r2.beta)._mpf_ == \
+            (0, 7238385189329075, 21388, 53)
 
     def test_p2_monotone_in_d(self):
         assert p2(2, 3, 12, Fraction(1, 2), 2) <= p2(2, 4, 12, Fraction(1, 2), 2)
