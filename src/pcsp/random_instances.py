@@ -4,8 +4,9 @@ Samples r-uniform instances at edge probability d/n^(r-1), checks
 (alpha, beta)-sparsity exactly or heuristically, finds disjoint boundary
 sets, derives parameter settings, and evaluates the probability bounds
 p1/p2 and the Chernoff-style tail bound.  All probability formulas are
-evaluated in interval arithmetic and rounded up, so "bound holds" verdicts
-are conservative.
+evaluated in interval arithmetic, and the upper end of the interval is
+rounded up to a working-precision mpf, so "bound holds" verdicts are
+conservative.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +42,8 @@ def _ivnum(x):
 
 
 def _upper(x):
-    return mpf(x.b)
+    """The upper end of an interval, rounded up to an mpf of working precision."""
+    return mpf(x.b, rounding="u")
 
 
 # ---------------------------------------------------------------------------

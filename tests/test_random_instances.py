@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import iv, mp, mpf
 
 from pcsp.core import (
     Signature,
@@ -30,6 +30,7 @@ from pcsp.random_instances import (
     is_alpha_beta_sparse,
     is_boundary_set,
     SparsityVerdict,
+    _upper,
     p1,
     p2,
     sample_hypergraph,
@@ -261,6 +262,26 @@ class TestProbabilityBounds:
     def test_chernoff_value(self):
         assert abs(chernoff_bound(4, Fraction(1, 2), 1)
                    - mpf(math.e / 2) ** 4) < 1e-10
+
+    def test_upper_end_is_rounded_up(self):
+        third = _upper(iv.mpf(1) / 3)
+        with mp.workprec(256):
+            assert third > mpf(1) / 3
+
+    def test_bounds_are_not_below_their_exact_values(self):
+        # the exact values at 256 bits; a bound rounded to nearest falls
+        # below about half of them
+        for m in range(1, 8):
+            for g, t in combinations(range(1, 6), 2):
+                gamma, tt = Fraction(g, 5), Fraction(t, 5)
+                with mp.workprec(256):
+                    exact = (mp.e * g / t) ** (mpf(t * m) / 5)
+                assert chernoff_bound(m, gamma, tt) >= exact
+        for n in range(1, 8):
+            for q in range(1, 4):
+                with mp.workprec(256):
+                    exact = mpf(q) ** n * mp.exp(mpf(-n) / q)
+                assert p1(2, 4, n, q) >= exact
 
     def test_chernoff_rejects_boundary(self):
         with pytest.raises(ValueError):
