@@ -132,12 +132,7 @@ def cmd_hard(args):
     right = load_structure(args.right)
     r = left.signature.symbols[0][1]
     params = ri.derive_parameters(r, args.p, right.n, args.n, args.eps,
-                                  mode=args.mode)
-    if args.d is not None:
-        from dataclasses import replace
-
-        params = replace(params, d=args.d)
-        params = replace(params, conditions=ri.check_conditions(params))
+                                  mode=args.mode, d=args.d)
     failed = [name for name, ok in params.conditions.items() if not ok]
     if failed:
         print("warning: conditions not met: %s" % ", ".join(failed),

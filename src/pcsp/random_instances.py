@@ -241,14 +241,16 @@ class ParameterSet:
 
 def derive_parameters(r: int, p: int, q: int, n: int, eps,
                       mode: str = GENERAL, gamma=None,
-                      delta=None) -> ParameterSet:
+                      delta=None, d=None) -> ParameterSet:
     """Fill every parameter by the standard recipes and evaluate all conditions.
 
     General mode: delta and beta at their upper bounds, d = r^r q^(r-1) ln(2q),
     alpha = eps*p/(delta*beta), k = floor(eps*n), c = k*p/delta.  Digraph mode
     (r = 2): delta strictly between eps/(1-eps-gamma) and 1/2, beta = 1+delta,
     d = 5q*ln(q), alpha = (C/d)^((1+delta)/delta), c = k*p/delta_prime.
-    A caller-forced delta is accepted but flagged as unsupported.
+    A caller-forced delta is accepted but flagged as unsupported.  A given
+    d replaces the recipe's edge density before the conditions are
+    evaluated; every other parameter still follows the recipe's d.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -261,7 +263,7 @@ def derive_parameters(r: int, p: int, q: int, n: int, eps,
         else:
             delta = Fraction(delta)
         beta = (1 + delta) / Fraction(r - 1)
-        d = _upper(iv.mpf(r) ** r * iv.mpf(q) ** (r - 1) * iv.ln(2 * q))
+        recipe_d = _upper(iv.mpf(r) ** r * iv.mpf(q) ** (r - 1) * iv.ln(2 * q))
         alpha = eps * p / (delta * beta)
         c = Fraction(k) * p / delta
         delta_prime = None
@@ -280,8 +282,8 @@ def derive_parameters(r: int, p: int, q: int, n: int, eps,
             delta = Fraction(delta)
         beta = 1 + delta
         delta_prime = (1 - 2 * delta) / (6 * (1 + delta))
-        d = _upper(5 * iv.mpf(q) * iv.ln(q))
-        dd = _ivnum(d)
+        recipe_d = _upper(5 * iv.mpf(q) * iv.ln(q))
+        dd = _ivnum(recipe_d)
         cconst = ((1 + _ivnum(delta))
                   * iv.mpf(4) ** (_ivnum(delta) / _ivnum(1 + delta))
                   * iv.exp(_ivnum(Fraction(-4) - 3 * delta) / _ivnum(1 + delta)))
@@ -292,7 +294,8 @@ def derive_parameters(r: int, p: int, q: int, n: int, eps,
     else:
         raise ValueError("mode must be %r or %r" % (GENERAL, DIGRAPH))
     ps = ParameterSet(r=r, k=k, p=p, q=q, n=n, mode=mode, delta=delta,
-                      beta=beta, alpha=alpha, c=c, d=d,
+                      beta=beta, alpha=alpha, c=c,
+                      d=recipe_d if d is None else d,
                       delta_prime=delta_prime, forced_delta=forced)
     object.__setattr__(ps, "conditions", check_conditions(ps))
     return ps

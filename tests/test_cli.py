@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pcsp import cli, ratlp
+from pcsp import random_instances as ri
 from pcsp.consistency import parse_strategy
 from pcsp.core import (
     complete_graph,
@@ -180,6 +181,19 @@ class TestHard:
         out, err = capsys.readouterr()
         assert out == ("found\n" if code == 0 else "no instance in 5 attempts\n")
         assert err == "warning: conditions not met: C3, C6, C7\n"
+
+    def test_conditions_are_evaluated_once_under_d(self, files, monkeypatch):
+        calls = []
+
+        def counted(ps):
+            calls.append(ps.d)
+            return check(ps)
+
+        check = ri.check_conditions
+        monkeypatch.setattr(ri, "check_conditions", counted)
+        cli.main(["hard", "--left", files["k3"], "--right", files["k2"],
+                  "--n", "12", "--attempts", "1", "--d", "5"])
+        assert calls == [5]
 
     def test_zero_attempts(self, files, tmp_path):
         assert cli.main(["hard", "--left", files["k3"], "--right", files["k2"],

@@ -345,6 +345,17 @@ class TestParameters:
         assert ps.forced_delta
         assert not ps.conditions["C1"]  # above the supported bound
 
+    @pytest.mark.parametrize("mode", [GENERAL, DIGRAPH])
+    def test_given_d_replaces_only_the_density(self, mode):
+        from dataclasses import replace
+
+        recipe = derive_parameters(2, 1, 3, 40, Fraction(1, 10), mode=mode)
+        given = derive_parameters(2, 1, 3, 40, Fraction(1, 10), mode=mode,
+                                  d=Fraction(1, 2))
+        want = replace(recipe, d=Fraction(1, 2))
+        assert given == replace(want, conditions=check_conditions(want))
+        assert not given.conditions["C6"] and recipe.conditions["C6"]
+
     def test_conditions_keys_by_mode(self):
         g = derive_parameters(2, 1, 2, 50, Fraction(1, 10))
         assert set(g.conditions) == {"C1", "C2", "C3", "C4", "C5", "C6", "C7"}
