@@ -84,19 +84,6 @@ def partial_homs(instance: Structure, template: Structure, k: int, budget: int):
     return out
 
 
-def _restrictions(h):
-    """All co-dimension-1 restrictions of h."""
-    return [h[:i] + h[i + 1:] for i in range(len(h))]
-
-
-def _extensions(h, instance_n, template_n):
-    """The one-point extensions of h, one list per element outside dom(h)."""
-    dom = set(_domain(h))
-    for x in range(instance_n):
-        if x not in dom:
-            yield [partial_map(h + ((x, a),)) for a in range(template_n)]
-
-
 def compute_strategy(instance: Structure, template: Structure, k: int,
                      budget: Optional[int] = None):
     """The maximal k-strategy on (I, S), or None if none exists.
@@ -197,23 +184,45 @@ def leq_k(instance: Structure, template: Structure, k: int,
 
 
 def is_strategy(family, instance: Structure, template: Structure, k: int) -> bool:
-    """Check the two defining conditions directly."""
-    if not family:
-        return False
+    """Check the defining conditions of a k-strategy in one pass.
+
+    Every map must be a sorted tuple of (element, value) pairs with distinct
+    elements of I and values of S, of size at most k, with its co-dimension-1
+    restrictions in the family.  A map is checked to be a partial
+    homomorphism only on the tuples whose largest element is its own
+    largest: the rest lie inside its restriction without that element,
+    which is in the family, so by induction on size they hold once every
+    restriction is found.  The extension property is checked by counting,
+    for each map, the distinct elements at which the family extends it.
+    """
     fam = set(family)
+    if not fam:
+        return False
+    by_max = constraints_by_max(instance, template)
+    if by_max is None:
+        return False
+    n, t = instance.n, template.n
+    extended = {}  # map -> bitmask of the elements it is extended at
     for h in fam:
-        if not is_partial_hom(h, instance, template):
-            return False
         if len(h) > k:
             return False
-        for r in _restrictions(h):
+        x = -1
+        for i, (y, a) in enumerate(h):
+            if not (x < y < n and 0 <= a < t):
+                return False
+            x = y
+            r = h[:i] + h[i + 1:]
             if r not in fam:
                 return False
-        if len(h) < k:
-            for exts in _extensions(h, instance.n, template.n):
-                if not any(g in fam for g in exts):
+            extended[r] = extended.get(r, 0) | 1 << x
+        if h:
+            dom = dict(h)
+            for target, tup in by_max[x]:
+                if all(e in dom for e in tup) and \
+                        tuple(dom[e] for e in tup) not in target:
                     return False
-    return True
+    return all(extended.get(h, 0).bit_count() == n - len(h)
+               for h in fam if len(h) < k)
 
 
 def width_counterexample_check(left: Structure, right: Structure, k: int,

@@ -10,6 +10,7 @@ from pcsp.consistency import (
     is_strategy,
     leq_k,
     parse_strategy,
+    partial_map,
     partial_homs,
     width_counterexample_check,
 )
@@ -22,6 +23,27 @@ def random_structure(data, n_max=4, carrier=None):
     ar = data.draw(st.integers(1, 2))
     tups = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * ar), max_size=6))
     return Structure(Signature((("R", ar),)), n, (("R", tuple(tups)),)), ar
+
+
+def reference_is_strategy(family, instance, template, k):
+    """is_strategy as first written: every condition of every map checked
+    directly, with one lookup per one-point extension."""
+    if not family:
+        return False
+    fam = set(family)
+    for h in fam:
+        if not is_partial_hom(h, instance, template) or len(h) > k:
+            return False
+        if any(h[:i] + h[i + 1:] not in fam for i in range(len(h))):
+            return False
+        if len(h) < k:
+            dom = {x for x, _ in h}
+            for x in range(instance.n):
+                if x not in dom and not any(
+                        partial_map(h + ((x, a),)) in fam
+                        for a in range(template.n)):
+                    return False
+    return True
 
 
 class TestComputeStrategy:
@@ -215,6 +237,47 @@ class TestLeqK:
         s = compute_strategy(inst, tmpl, k)
         if s is not None:
             assert is_strategy(s, inst, tmpl, min(k, inst.n))
+
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_checker_agrees_with_the_reference(self, data):
+        # a computed strategy (or, if none, all partial homomorphisms) with
+        # one map dropped, one added, or one value forged
+        inst, ar = random_structure(data, n_max=5)
+        tn = data.draw(st.integers(1, 3))
+        tt = data.draw(st.lists(st.tuples(*[st.integers(0, tn - 1)] * ar), max_size=6))
+        tmpl = Structure(inst.signature, tn, (("R", tuple(tt)),))
+        k = data.draw(st.integers(1, 3))
+        fam = compute_strategy(inst, tmpl, k) or \
+            frozenset(partial_homs(inst, tmpl, k, budget=10 ** 6))
+        fam = set(fam)
+        change = data.draw(st.sampled_from(["none", "drop", "add", "forge"]))
+        if change == "drop" and fam:
+            fam.discard(data.draw(st.sampled_from(sorted(fam))))
+        elif change == "add":
+            dom = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=k))
+            fam.add(tuple((x, data.draw(st.integers(0, tn - 1)))
+                          for x in sorted(dom)))
+        elif change == "forge" and any(fam):
+            h = data.draw(st.sampled_from(sorted(h for h in fam if h)))
+            i = data.draw(st.integers(0, len(h) - 1))
+            forged = h[:i] + ((h[i][0], data.draw(st.integers(0, tn - 1))),) + h[i + 1:]
+            fam.discard(h)
+            fam.add(forged)
+        assert is_strategy(fam, inst, tmpl, k) == \
+            reference_is_strategy(fam, inst, tmpl, k)
+
+    def test_checker_rejects_a_map_that_is_not_sorted(self):
+        s = set(compute_strategy(cycle(4), complete_graph(2), 2))
+        assert is_strategy(s, cycle(4), complete_graph(2), 2)
+        assert not is_strategy(s | {((1, 1), (0, 0))}, cycle(4), complete_graph(2), 2)
+
+    def test_checker_rejects_a_violated_tuple_with_all_restrictions_present(self):
+        # (0, 0), (1, 0) breaks the edge (0, 1); both its restrictions are
+        # maps of the strategy
+        s = set(compute_strategy(cycle(4), complete_graph(2), 2))
+        assert not is_strategy(s | {((0, 0), (1, 0))}, cycle(4), complete_graph(2), 2)
 
 
 class TestWidthCheck:
