@@ -166,7 +166,10 @@ def cmd_color(args):
     g = load_structure(args.graph)
     col.check_graph(g)
     if args.planted:
-        oracle = col.planted_oracle(_load_planted(args.planted))
+        planted = _load_planted(args.planted)
+        if not col.validate_coloring(g, col.Coloring(planted, 3)):
+            raise ValueError("planted map is not a proper 3-coloring of the graph")
+        oracle = col.planted_oracle(planted)
     else:
         oracle = col.exact_oracle()
     trace = None
@@ -177,6 +180,8 @@ def cmd_color(args):
                                            C=args.C, n0=args.n0)
     else:
         out = col.partition_baseline(g, args.epsilon, oracle)
+    if not col.validate_coloring(g, out):
+        raise InternalError("%s coloring is not proper" % args.mode)
     lines = ["%d %d" % (v, out.colors[v]) for v in sorted(out.colors)]
     body = "\n".join(lines) + ("\n" if lines else "")
     if args.out == "-":

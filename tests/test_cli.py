@@ -260,6 +260,34 @@ class TestColor:
                          "--mode", "wigderson", "--out", str(out)]) == 1
 
 
+    @pytest.mark.parametrize("mode", ["wigderson", "general", "baseline"])
+    def test_improper_planted_map_is_an_input_error(self, tmp_path, capsys, mode):
+        gpath = tmp_path / "k4.struct"
+        save_structure(complete_graph(4), str(gpath))
+        ppath = tmp_path / "planted.txt"
+        ppath.write_text("0 0\n1 1\n2 2\n3 0\n")
+        out = tmp_path / "col.txt"
+        assert cli.main(["color", "--graph", str(gpath), "--mode", mode,
+                         "--planted", str(ppath), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: planted map is not a proper 3-coloring of the graph\n"
+        assert not out.exists()
+
+    def test_improper_result_is_an_internal_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a coloring routine that returns the K4 map 0 0, 1 1, 2 2, 3 0
+        gpath = tmp_path / "k4.struct"
+        save_structure(complete_graph(4), str(gpath))
+        monkeypatch.setattr(cli.col, "wigderson_color",
+                            lambda g, oracle: Coloring({0: 0, 1: 1, 2: 2, 3: 0}, 3))
+        out = tmp_path / "col.txt"
+        assert cli.main(["color", "--graph", str(gpath), "--mode", "wigderson",
+                         "--out", str(out)]) == 4
+        assert capsys.readouterr() == \
+            ("", "internal error: wigderson coloring is not proper\n")
+        assert not out.exists()
+
+
 class TestBench:
     def test_empty_sweep(self, files, tmp_path):
         out = tmp_path / "bench.csv"
