@@ -248,12 +248,13 @@ class TestProbabilityBounds:
         assert p2(r, d, n, alpha, beta) < mpf("0.5")
 
     def test_p2_pinned_on_the_recipe_shapes(self):
-        # derive_parameters(3, 1, 2, 100, 1/4) and (2, 1, 3, 500, 1/4)
-        r3 = derive_parameters(3, 1, 2, 100, Fraction(1, 4))
-        assert p2(3, r3.d, 100, r3.alpha, r3.beta)._mpf_ == \
+        # the d, alpha and beta of derive_parameters(3, 1, 2, 100, 1/4)
+        # and of derive_parameters(2, 1, 3, 500, 1/4)
+        d3 = mpf((2633898417819761, -44))
+        assert p2(3, d3, 100, Fraction(800, 41), Fraction(41, 80))._mpf_ == \
             (0, 2459233311030531, 12178, 52)
-        r2 = derive_parameters(2, 1, 3, 500, Fraction(1, 4))
-        assert p2(2, r2.d, 500, r2.alpha, r2.beta)._mpf_ == \
+        d2 = mpf((3026012729232385, -47))
+        assert p2(2, d2, 500, Fraction(441, 88), Fraction(22, 21))._mpf_ == \
             (0, 7238385189329075, 21388, 53)
 
     def test_p2_monotone_in_d(self):
