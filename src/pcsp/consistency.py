@@ -195,15 +195,14 @@ def is_strategy(family, instance: Structure, template: Structure, k: int) -> boo
     restriction is found.  The extension property is checked by counting,
     for each map, the distinct elements at which the family extends it.
     """
-    fam = set(family)
-    if not fam:
+    extended = dict.fromkeys(family, 0)  # map -> elements it is extended at
+    if not extended:
         return False
     by_max = constraints_by_max(instance, template)
     if by_max is None:
         return False
     n, t = instance.n, template.n
-    extended = {}  # map -> bitmask of the elements it is extended at
-    for h in fam:
+    for h in extended:
         if len(h) > k:
             return False
         x = -1
@@ -212,17 +211,17 @@ def is_strategy(family, instance: Structure, template: Structure, k: int) -> boo
                 return False
             x = y
             r = h[:i] + h[i + 1:]
-            if r not in fam:
+            if r not in extended:
                 return False
-            extended[r] = extended.get(r, 0) | 1 << x
+            extended[r] |= 1 << x
         if h:
             dom = dict(h)
             for target, tup in by_max[x]:
                 if all(e in dom for e in tup) and \
                         tuple(dom[e] for e in tup) not in target:
                     return False
-    return all(extended.get(h, 0).bit_count() == n - len(h)
-               for h in fam if len(h) < k)
+    return all(mask.bit_count() == n - len(h)
+               for h, mask in extended.items() if len(h) < k)
 
 
 def width_counterexample_check(left: Structure, right: Structure, k: int,
