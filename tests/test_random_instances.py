@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp, mpf
 
+import pcsp.random_instances as ri
 from pcsp.core import (
     Signature,
     Structure,
@@ -256,6 +257,28 @@ class TestProbabilityBounds:
         d2 = mpf((3026012729232385, -47))
         assert p2(2, d2, 500, Fraction(441, 88), Fraction(22, 21))._mpf_ == \
             (0, 7238385189329075, 21388, 53)
+
+    @pytest.mark.parametrize("r, d, n, alpha, beta", [
+        (3, Fraction(150), 40, Fraction(800, 41), Fraction(41, 80)),
+        (2, Fraction(43, 2), 100, Fraction(441, 88), Fraction(22, 21)),
+        (2, 3, 60, Fraction(1, 2), 2),
+    ])
+    def test_p2_sums_the_intervals_of_the_formula(self, monkeypatch,
+                                                    r, d, n, alpha, beta):
+        # the sum p2 rounds up is the interval the formula gives term by term
+        d_, beta_ = ri._ivnum(d), ri._ivnum(beta)
+        want = iv.mpf(0)
+        for v in range(1, int(Fraction(alpha) * n) + 1):
+            base = ((iv.mpf(n) / v) ** (1 - (r - 1) * beta_)
+                    * d_ ** beta_
+                    * iv.exp(1 + (r + 1) * beta_)
+                    * iv.mpf(r) ** (-r * beta_)
+                    * beta_ ** (-beta_))
+            want += base ** v
+        seen = []
+        monkeypatch.setattr(ri, "_upper", lambda x: seen.append(x) or _upper(x))
+        p2(r, d, n, alpha, beta)
+        assert seen[-1]._mpi_ == want._mpi_
 
     def test_p2_monotone_in_d(self):
         assert p2(2, 3, 12, Fraction(1, 2), 2) <= p2(2, 4, 12, Fraction(1, 2), 2)
