@@ -259,8 +259,8 @@ class TestProbabilityBounds:
             (0, 7238385189329075, 21388, 53)
 
     @pytest.mark.parametrize("r, d, n, alpha, beta", [
-        (3, Fraction(150), 40, Fraction(800, 41), Fraction(41, 80)),
-        (2, Fraction(43, 2), 100, Fraction(441, 88), Fraction(22, 21)),
+        (3, Fraction(150), 20, Fraction(800, 41), Fraction(41, 80)),
+        (2, Fraction(43, 2), 50, Fraction(441, 88), Fraction(22, 21)),
         (2, 3, 60, Fraction(1, 2), 2),
     ])
     def test_p2_sums_the_intervals_of_the_formula(self, monkeypatch,
