@@ -70,8 +70,8 @@ def p2(r: int, d, n: int, alpha, beta):
     d, alpha_, beta_ = _ivnum(d), _ivnum(alpha), _ivnum(beta)
     vmax = int(Fraction(alpha) * n) if isinstance(alpha, (int, Fraction)) \
         else int(_upper(alpha_ * n))
-    # the four factors after (n/v)^e do not depend on v; each base is still
-    # multiplied out left to right, so every term is the same interval
+    # the four factors after (n/v)^e do not depend on v; each base keeps the
+    # formula's left-to-right product, so every term is the formula's interval
     nn = iv.mpf(n)
     e = 1 - (r - 1) * beta_
     f2 = d ** beta_
