@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,22 @@ class TestPinnedPath:
         v = feasible(lp)
         assert v.point == {"a": F(14, 11), "b": F(0), "c": F(21, 22), "d": F(10, 11)}
 
+    def test_fractional_rows_point(self):
+        # the per-row scale that makes a row integer decides the entering
+        # column, so this pins it: fractional coefficients, a shifted lower
+        # bound, a free variable, an upper bound, a >= row and two rows
+        # flipped for a negative rhs
+        lp = RationalLP()
+        lp.add_variable("x", -2, 3)
+        lp.add_variable("y")
+        lp.add_variable("z", 0)
+        lp.add_constraint({"x": F(1, 2), "y": F(-2, 3), "z": 1}, ">=", F(1, 3))
+        lp.add_constraint({"x": 1, "y": F(1, 2)}, "<=", F(5, 4))
+        lp.add_constraint({"x": F(-2, 3), "z": 1}, "=", -1)
+        lp.add_constraint({"y": 1, "z": -1}, ">=", -4)
+        v = feasible(lp)
+        assert v.point == {"x": F(3, 2), "y": F(-1, 2), "z": F(0)}
+
     def test_redundant_zero_rows_leave_an_artificial_basic(self):
         # the four x = y rows are dependent, so three of them keep their
         # artificial basic at value 0 to the end of phase I
@@ -184,6 +202,107 @@ class TestPinnedPath:
         lp.add_constraint({"x": 1, "y": 1, "z": 1}, ">=", 3)
         v = feasible(lp)
         assert v.feasible and check_point(lp, v.point)
+
+
+def seeded_pool():
+    """SA-1 and SA-2 systems of small 1-in-3 instances, then general LPs
+    with fractional coefficients, bounds and right-hand sides."""
+    rng = random.Random(2026)
+    e13 = exactly_template(1, 3)
+    lps = []
+    for i in range(20):
+        n = rng.randint(4, 7) if i % 2 else rng.randint(4, 6)
+        m = rng.randint(n // 2, n)
+        triples = set()
+        while len(triples) < m:
+            triples.add(tuple(sorted(rng.sample(range(n), 3))))
+        inst = Structure(e13.signature, n, (("R", tuple(sorted(triples))),))
+        lps.append(build_sa(inst, e13, 1 + i % 2))
+    for _ in range(10):
+        lp = RationalLP()
+        nv = rng.randint(4, 8)
+        for j in range(nv):
+            r = rng.random()
+            if r < 0.3:
+                lp.add_variable(j)
+            elif r < 0.6:
+                lp.add_variable(j, F(rng.randint(-6, 0), rng.randint(1, 3)),
+                                F(rng.randint(1, 9), rng.randint(1, 4)))
+            else:
+                lp.add_variable(j, F(rng.randint(-2, 2), rng.randint(1, 3)))
+        for _ in range(rng.randint(nv // 2, nv + 2)):
+            coeffs = {j: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+                      for j in rng.sample(range(nv), rng.randint(1, nv))}
+            lp.add_constraint(coeffs, rng.choice(("<=", "=", ">=")),
+                              F(rng.randint(-8, 8), rng.randint(1, 5)))
+        lps.append(lp)
+    return lps
+
+
+def test_seeded_pool_digest():
+    # every verdict and every point of a fixed pool: a change to the pivot
+    # path that moves any point shows here
+    h = hashlib.sha256()
+    n_feasible = 0
+    for lp in seeded_pool():
+        v = feasible(lp)
+        n_feasible += v.feasible
+        point = sorted(v.point.items(), key=repr) if v.feasible else None
+        h.update(repr((v.feasible, point)).encode())
+    assert n_feasible == 22
+    assert h.hexdigest() == (
+        "c288cf4e3592c831c3b22b250759ac244fad26387f77eeadcdb8a229b7239386")
+
+
+def plain_check(lp, point):
+    """check_point written out in Fraction arithmetic, as the reference."""
+    for coeffs, rel, rhs in lp.constraints:
+        val = sum((c * point[k] for k, c in coeffs.items()), F(0))
+        if (rel == "<=" and val > rhs) or (rel == ">=" and val < rhs) or (
+                rel == "=" and val != rhs):
+            return False
+    return (all(point[k] >= lo for k, lo in lp.lower.items())
+            and all(point[k] <= hi for k, hi in lp.upper.items()))
+
+
+fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def lps_and_points(draw):
+    """An LP with fractional data and a point near or on its boundary: a
+    random one, the simplex's own, or either with one coordinate moved by
+    1/(2L), L the common denominator of the point."""
+    lp = RationalLP()
+    nv = draw(st.integers(1, 4))
+    for j in range(nv):
+        lo = draw(st.none() | fractions)
+        hi = draw(st.none() | fractions)
+        if lo is not None and hi is not None and hi < lo:
+            lo, hi = hi, lo
+        lp.add_variable(j, lo, hi)
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = {j: draw(fractions) for j in range(nv)
+                  if draw(st.booleans())}
+        lp.add_constraint(coeffs, draw(st.sampled_from(["<=", "=", ">="])),
+                          draw(fractions))
+    v = feasible(lp)
+    if v.feasible and draw(st.booleans()):
+        point = dict(v.point)
+    else:
+        point = {j: draw(fractions) for j in range(nv)}
+    if draw(st.booleans()):
+        L = lcm(*(x.denominator for x in point.values()))
+        j = draw(st.integers(0, nv - 1))
+        point[j] += draw(st.sampled_from([1, -1])) * F(1, 2 * L)
+    return lp, point
+
+
+@given(lps_and_points())
+@settings(max_examples=150, deadline=None)
+def test_check_point_is_exact(lp_point):
+    lp, point = lp_point
+    assert check_point(lp, point) == plain_check(lp, point)
 
 
 @st.composite
