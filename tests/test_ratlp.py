@@ -174,20 +174,21 @@ class TestPinnedPath:
         assert v.point == {"a": F(14, 11), "b": F(0), "c": F(21, 22), "d": F(10, 11)}
 
     def test_fractional_rows_point(self):
-        # the per-row scale that makes a row integer decides the entering
-        # column, so this pins it: fractional coefficients, a shifted lower
-        # bound, a free variable, an upper bound, a >= row and two rows
-        # flipped for a negative rhs
+        # the per-row scale that makes a row integer weighs the rows summed
+        # into the phase-I objective, so it decides the entering column:
+        # fractional coefficients, a lower bound that shifts its rows, a
+        # free variable, an upper bound, >= rows and a row that the shift
+        # makes negative, so that it is flipped
         lp = RationalLP()
         lp.add_variable("x", -2, 3)
         lp.add_variable("y")
         lp.add_variable("z", 0)
         lp.add_constraint({"x": F(1, 2), "y": F(-2, 3), "z": 1}, ">=", F(1, 3))
-        lp.add_constraint({"x": 1, "y": F(1, 2)}, "<=", F(5, 4))
-        lp.add_constraint({"x": F(-2, 3), "z": 1}, "=", -1)
-        lp.add_constraint({"y": 1, "z": -1}, ">=", -4)
+        lp.add_constraint({"y": F(3, 4), "z": F(-1, 3)}, ">=", F(1, 2))
+        lp.add_constraint({"x": F(-2, 3), "z": 2}, "<=", F(4, 3))
+        lp.add_constraint({"x": -1, "y": 2}, "=", 0)
         v = feasible(lp)
-        assert v.point == {"x": F(3, 2), "y": F(-1, 2), "z": F(0)}
+        assert v.point == {"x": F(44, 31), "y": F(22, 31), "z": F(3, 31)}
 
     def test_redundant_zero_rows_leave_an_artificial_basic(self):
         # the four x = y rows are dependent, so three of them keep their
