@@ -1,10 +1,14 @@
 """Exact rational linear-program feasibility.
 
-Variables are symbolic keys; all arithmetic is over ``fractions.Fraction``,
-so verdicts are exact and feasible points satisfy every constraint with zero
-tolerance.  The method is phase-I simplex on the standard-form system, using
-a largest-coefficient pivot rule that falls back to Bland's rule after a run
-of degenerate pivots (guaranteeing termination).
+Variables are symbolic keys and the data ``fractions.Fraction``s, so verdicts
+are exact and feasible points satisfy every constraint with zero tolerance.
+The method is phase-I simplex on the standard-form system, using a
+largest-coefficient pivot rule that falls back to Bland's rule after a run of
+degenerate pivots (guaranteeing termination).  Each standard-form row is
+integer from the start (the true row times the lcm of its denominators), and
+a column-to-rows index lets a pivot visit only the rows holding the entering
+column.  ``check_point`` re-reads the constraints, independently of the
+simplex, and compares them with the point scaled to one common denominator.
 """
 
 from dataclasses import dataclass, field
@@ -75,11 +79,14 @@ class Verdict:
     point: Optional[Dict] = None
 
 
-def _standard_form(lp: RationalLP):
-    """Rewrite to A z = b, z >= 0, b >= 0.
+RHS = -1  # pseudo-column holding the right-hand side inside each integer row
 
-    Returns (rows, rhs, n_struct, recover) where ``recover`` maps a standard
-    z-vector back to original variable values.
+
+def _standard_form(lp: RationalLP):
+    """Rewrite to A z = b, z >= 0, b >= 0: each row an integer dict, b at
+    RHS, equal to the true row times the lcm of its denominators (negated
+    when b < 0).  Returns (rows, ncols, slack_cols, recover), where
+    ``recover`` maps a standard z-vector back to original variable values.
     """
     # column plan: each original variable becomes either (shifted by its
     # lower bound) one column, or (free) a pair of columns
@@ -90,68 +97,50 @@ def _standard_form(lp: RationalLP):
     extra_rows = []
     for key in lp.variables:
         lo = lp.lower.get(key)
-        hi = lp.upper.get(key)
-        if lo is not None:
-            col_of[key] = ncols
-            shift[key] = lo
-            ncols += 1
-            if hi is not None:
-                extra_rows.append(({key: Fraction(1)}, LEQ, hi))
-        else:
-            col_of[key] = ncols
+        col_of[key] = ncols
+        if lo is None:
             pair_neg[key] = ncols + 1
-            shift[key] = Fraction(0)
-            ncols += 2
-            if hi is not None:
-                extra_rows.append(({key: Fraction(1)}, LEQ, hi))
+        elif lo:
+            shift[key] = lo
+        ncols += 2 if lo is None else 1
+        if key in lp.upper:
+            extra_rows.append(({key: Fraction(1)}, LEQ, lp.upper[key]))
 
     rows = []
-    rhs = []
-    slack_cols = []  # per row: (col, sign) of its slack, or None
+    slack_cols = []
     for coeffs, rel, b in list(lp.constraints) + extra_rows:
-        row = {}
-        for key, c in coeffs.items():
-            row[col_of[key]] = row.get(col_of[key], Fraction(0)) + c
-            if key in pair_neg:
-                row[pair_neg[key]] = row.get(pair_neg[key], Fraction(0)) - c
-            b -= c * shift[key]
-        if rel == LEQ:
-            slack_cols.append((ncols, Fraction(1)))
-            row[ncols] = Fraction(1)
-            ncols += 1
-        elif rel == GEQ:
-            slack_cols.append((ncols, Fraction(-1)))
-            row[ncols] = Fraction(-1)
-            ncols += 1
-        else:
+        if shift:
+            for key, c in coeffs.items():
+                if key in shift:
+                    b -= c * shift[key]
+        # the scale: the lcm of the denominators, negative to flip b < 0
+        s = lcm(b.denominator, *[c.denominator for c in coeffs.values()])
+        if b < 0:
+            s = -s
+        row = {col_of[key]: c.numerator * (s // c.denominator)
+               for key, c in coeffs.items()}
+        if pair_neg:
+            for key in coeffs:
+                if key in pair_neg:
+                    row[pair_neg[key]] = -row[col_of[key]]
+        if b:
+            row[RHS] = b.numerator * (s // b.denominator)
+        if rel == EQ:
             slack_cols.append(None)
-        rows.append({c: v for c, v in row.items() if v})
-        rhs.append(b)
-
-    # make rhs nonnegative
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = {c: -v for c, v in rows[i].items()}
-            rhs[i] = -rhs[i]
-            if slack_cols[i] is not None:
-                slack_cols[i] = (slack_cols[i][0], -slack_cols[i][1])
+        else:
+            row[ncols] = s if rel == LEQ else -s
+            slack_cols.append((ncols, 1 if row[ncols] > 0 else -1))
+            ncols += 1
+        rows.append(row)
 
     def recover(z):
-        point = {}
-        for key in lp.variables:
-            val = z.get(col_of[key], Fraction(0)) + shift[key]
-            if key in pair_neg:
-                val -= z.get(pair_neg[key], Fraction(0))
-            point[key] = val
-        return point
+        return {key: z.get(col_of[key], Fraction(0)) + shift.get(key, 0)
+                - z.get(pair_neg.get(key), 0) for key in lp.variables}
 
-    return rows, rhs, ncols, slack_cols, recover
+    return rows, ncols, slack_cols, recover
 
 
-RHS = -1  # pseudo-column holding the right-hand side inside each integer row
-
-
-def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
+def _phase1(rows, ncols, slack_cols):
     """Minimize the sum of artificials; returns a basic z-vector or None.
 
     Fraction-free: every row is an integer dict, with its rhs at the
@@ -162,17 +151,14 @@ def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
     times a positive scale, so ``obj[RHS]`` is the scaled sum of the
     artificials and phase I ends when it reaches 0.  Artificials still basic
     at that point sit at value 0 and may stay basic: the returned point
-    reads only the other basic variables.
+    reads only the other basic variables.  ``col_rows[c]`` lists the rows
+    that hold column c, and maybe some that no longer do: a row is appended
+    when c fills in and dropped only when c enters, leaving just [leave].
     """
-    m = len(fr_rows)
-    rows = []
-    for i in range(m):
-        den = lcm(fr_rhs[i].denominator,
-                  *[v.denominator for v in fr_rows[i].values()] or [1])
-        row = {c: int(v * den) for c, v in fr_rows[i].items()}
-        if fr_rhs[i]:
-            row[RHS] = int(fr_rhs[i] * den)
-        rows.append(row)
+    col_rows = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, []).append(i)
 
     # a +1 slack is the first basic variable of its row; any other row gets
     # the artificial column ncols + i, with coefficient 1 in that row alone
@@ -181,9 +167,9 @@ def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
     # the reduced-cost row of cost = sum of artificials is the sum of their
     # rows; a positive entry marks a column whose entry reduces the cost
     obj = {}
-    for i in range(m):
+    for i, row in enumerate(rows):
         if basis[i] >= ncols:
-            for c, v in rows[i].items():
+            for c, v in row.items():
                 obj[c] = obj.get(c, 0) + v
     obj = {c: v for c, v in obj.items() if v}
 
@@ -196,12 +182,11 @@ def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
             entering = min(c for c, _ in candidates)
         else:
             entering = max(candidates, key=lambda cv: (cv[1], -cv[0]))[0]
-        hits = [i for i in range(m) if entering in rows[i]]
+        hits = [i for i in col_rows[entering] if entering in rows[i]]
 
         # ratio test: minimize rhs/a over rows with positive entering entry,
         # compared by cross-multiplication; ties broken by smallest basic var
-        leave = None
-        bn = bd = None
+        leave = bn = bd = None
         for i in hits:
             a = rows[i][entering]
             if a > 0:
@@ -215,9 +200,12 @@ def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
 
         items = list(rows[leave].items())
         for i in hits:
-            if i != leave:
-                rows[i] = _eliminate(rows[i], rows[i][entering], bd, items)
+            # a row listed twice has lost the entering column the 2nd time
+            if i != leave and entering in rows[i]:
+                rows[i] = _eliminate(rows[i], rows[i][entering], bd, items,
+                                     col_rows, i)
         obj = _eliminate(obj, obj[entering], bd, items)
+        col_rows[entering] = [leave]
         basis[leave] = entering
 
     if obj.get(RHS, 0):
@@ -229,22 +217,28 @@ def _phase1(fr_rows, fr_rhs, ncols, slack_cols):
     return z
 
 
-def _eliminate(row, a, p, items):
+def _eliminate(row, a, p, items, col_rows=None, i=None):
     """Return (p*row - a*prow) / gcd, where ``items`` are prow's entries.
 
     ``p`` > 0 is prow's entry and ``a`` row's entry in the entering column,
     so the result is the same true row times a positive scale, with a zero
     in that column.  When ``p == 1`` (most pivots) only prow's columns change
     and ``row`` itself is updated; zero entries are deleted, not stored.
+    A column that fills in appends row number ``i`` to ``col_rows``.
     """
     if p != 1:
         row = {c: p * v for c, v in row.items()}
     for c, v in items:
-        nv = row.get(c, 0) - a * v
-        if nv:
-            row[c] = nv
+        if c in row:
+            nv = row[c] - a * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
         else:
-            del row[c]
+            row[c] = -a * v
+            if col_rows is not None:
+                col_rows[c].append(i)
     g = gcd(*row.values())
     if g > 1:
         row = {c: v // g for c, v in row.items()}
@@ -253,8 +247,8 @@ def _eliminate(row, a, p, items):
 
 def feasible(lp: RationalLP) -> Verdict:
     """Exact feasibility verdict; a feasible verdict carries a witness point."""
-    rows, rhs, ncols, slack_cols, recover = _standard_form(lp)
-    z = _phase1(rows, rhs, ncols, slack_cols)
+    rows, ncols, slack_cols, recover = _standard_form(lp)
+    z = _phase1(rows, ncols, slack_cols)
     if z is None:
         return Verdict(False)
     point = recover(z)
@@ -264,19 +258,23 @@ def feasible(lp: RationalLP) -> Verdict:
 
 
 def check_point(lp: RationalLP, point) -> bool:
-    """Exact satisfaction check of every constraint and bound."""
+    """Exact satisfaction check of every constraint and bound.
+
+    The point is scaled once to a common denominator L, so a constraint with
+    integer coefficients is the integer comparison of sum(c * L * x) with
+    L * rhs; only a constraint with a non-integer coefficient sums Fractions.
+    """
+    L = lcm(*[v.denominator for v in point.values()])
+    P = {k: v.numerator * (L // v.denominator) for k, v in point.items()}
     for coeffs, rel, rhs in lp.constraints:
-        val = sum((c * point[k] for k, c in coeffs.items()), Fraction(0))
-        if rel == LEQ and val > rhs:
+        terms = [c.numerator * P[k] for k, c in coeffs.items()
+                 if c.denominator == 1]
+        if len(terms) == len(coeffs):  # compare sum(terms) / L with rhs
+            val, rhs = sum(terms) * rhs.denominator, rhs.numerator * L
+        else:
+            val = sum((c * point[k] for k, c in coeffs.items()), Fraction(0))
+        if (rel == LEQ and val > rhs) or (rel == GEQ and val < rhs) or (
+                rel == EQ and val != rhs):
             return False
-        if rel == GEQ and val < rhs:
-            return False
-        if rel == EQ and val != rhs:
-            return False
-    for key, lo in lp.lower.items():
-        if point[key] < lo:
-            return False
-    for key, hi in lp.upper.items():
-        if point[key] > hi:
-            return False
-    return True
+    return (all(point[k] >= lo for k, lo in lp.lower.items())
+            and all(point[k] <= hi for k, hi in lp.upper.items()))
