@@ -258,12 +258,9 @@ def feasible(lp: RationalLP) -> Verdict:
 
 
 def check_point(lp: RationalLP, point) -> bool:
-    """Exact satisfaction check of every constraint and bound.
-
-    The point is scaled once to a common denominator L, so a constraint with
-    integer coefficients is the integer comparison of sum(c * L * x) with
-    L * rhs; only a constraint with a non-integer coefficient sums Fractions.
-    """
+    """Exact satisfaction check of every constraint and bound: the point is
+    scaled once to a common denominator L and compared in integers, except
+    on a constraint with a non-integer coefficient, which sums Fractions."""
     L = lcm(*[v.denominator for v in point.values()])
     P = {k: v.numerator * (L // v.denominator) for k, v in point.items()}
     for coeffs, rel, rhs in lp.constraints:
@@ -276,5 +273,7 @@ def check_point(lp: RationalLP, point) -> bool:
         if (rel == LEQ and val > rhs) or (rel == GEQ and val < rhs) or (
                 rel == EQ and val != rhs):
             return False
-    return (all(point[k] >= lo for k, lo in lp.lower.items())
-            and all(point[k] <= hi for k, hi in lp.upper.items()))
+    return (all(P[k] * lo.denominator >= lo.numerator * L
+                for k, lo in lp.lower.items())
+            and all(P[k] * hi.denominator <= hi.numerator * L
+                    for k, hi in lp.upper.items()))
