@@ -288,8 +288,10 @@ def derive_parameters(r: int, p: int, q: int, n: int, eps,
                   * iv.mpf(4) ** (_ivnum(delta) / _ivnum(1 + delta))
                   * iv.exp(_ivnum(Fraction(-4) - 3 * delta) / _ivnum(1 + delta)))
         alpha_iv = (cconst / dd) ** (_ivnum(1 + delta) / _ivnum(delta))
-        # round down: a smaller alpha only weakens the sparsity claim
-        alpha = Fraction(str(mpf(alpha_iv.a)))
+        # round down (to 53 bits, exactly): a smaller alpha only weakens
+        # the sparsity claim
+        man, exp = mpf(alpha_iv.a, rounding="d").man_exp
+        alpha = Fraction(man) * Fraction(2) ** exp
         c = Fraction(k) * p / delta_prime
     else:
         raise ValueError("mode must be %r or %r" % (GENERAL, DIGRAPH))

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp, mpf
+from mpmath.libmp import to_rational
 
 import pcsp.random_instances as ri
 from pcsp.core import (
@@ -356,6 +357,20 @@ class TestParameters:
         assert delta0 < ps.delta < Fraction(1, 2)
         assert not ps.forced_delta
         assert ps.conditions["C1'"]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10),
+                                     Fraction(1, 5)])
+    def test_digraph_alpha_is_rounded_down(self, q, eps):
+        # alpha may not exceed the exact rational of the lower end of the
+        # recipe's interval (C/d)^((1+delta)/delta), recomputed here
+        ps = derive_parameters(2, 1, q, 100, eps, mode=DIGRAPH)
+        delta = iv.mpf(ps.delta.numerator) / ps.delta.denominator
+        d = iv.mpf(ps.d)
+        c = ((1 + delta) * iv.mpf(4) ** (delta / (1 + delta))
+             * iv.exp((-4 - 3 * delta) / (1 + delta)))
+        lower_end = ((c / d) ** ((1 + delta) / delta)).a
+        assert 0 < ps.alpha <= Fraction(*to_rational(lower_end._mpi_[0]))
 
     def test_conditions_small_n(self):
         ps = derive_parameters(2, 1, 3, 2, Fraction(1, 2))
