@@ -233,16 +233,6 @@ def induced_substructure(struct: Structure, subset: Iterable[int]):
     return sub, tuple(keep)
 
 
-def union(a: Structure, b: Structure) -> Structure:
-    if a.signature != b.signature:
-        raise ValueError("union requires a common signature")
-    n = max(a.n, b.n)
-    rels = []
-    for sym, _ in a.signature.symbols:
-        rels.append((sym, tuple(set(a.rel(sym)) | set(b.rel(sym)))))
-    return Structure(a.signature, n, tuple(rels), "%s+%s" % (a.name, b.name))
-
-
 # ---------------------------------------------------------------------------
 # Homomorphism search
 

@@ -25,7 +25,6 @@ from pcsp.core import (
     power,
     product_relation,
     projection,
-    union,
     _search,
 )
 from pcsp.errors import BudgetExceededError, StructureParseError
@@ -258,24 +257,6 @@ class TestSubstructureUnion:
     def test_c5_three_consecutive_is_path(self):
         sub, _ = induced_substructure(cycle(5), {0, 1, 2})
         assert sub.rel("E") == path(3).rel("E")
-
-    def test_union_idempotent(self):
-        s = cycle(4)
-        assert union(s, s).rel("E") == s.rel("E")
-
-    def test_union_of_overlapping_triangles(self):
-        sig = Signature((("E", 2),))
-
-        def tri(a, b, c):
-            edges = [(a, b), (b, a), (b, c), (c, b), (a, c), (c, a)]
-            return Structure(sig, 4, (("E", tuple(edges)),))
-
-        u = union(tri(0, 1, 2), tri(0, 1, 3))
-        assert len(u.rel("E")) == 10  # 5 undirected edges
-
-    def test_union_signature_mismatch(self):
-        with pytest.raises(ValueError):
-            union(complete_graph(2), exactly_template(1, 3))
 
 
 class TestHomSearch:
