@@ -107,7 +107,7 @@ def _standard_form(lp: RationalLP):
             extra_rows.append(({key: Fraction(1)}, LEQ, lp.upper[key]))
 
     rows = []
-    slack_cols = []
+    slack_cols = []  # per row: (col, sign) of its slack, or None
     for coeffs, rel, b in list(lp.constraints) + extra_rows:
         if shift:
             for key, c in coeffs.items():
