@@ -266,7 +266,7 @@ def plain_check(lp, point):
             and all(point[k] <= hi for k, hi in lp.upper.items()))
 
 
-fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+small_fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
 
 
 @st.composite
@@ -277,21 +277,21 @@ def lps_and_points(draw):
     lp = RationalLP()
     nv = draw(st.integers(1, 4))
     for j in range(nv):
-        lo = draw(st.none() | fractions)
-        hi = draw(st.none() | fractions)
+        lo = draw(st.none() | small_fractions)
+        hi = draw(st.none() | small_fractions)
         if lo is not None and hi is not None and hi < lo:
             lo, hi = hi, lo
         lp.add_variable(j, lo, hi)
     for _ in range(draw(st.integers(0, 4))):
-        coeffs = {j: draw(fractions) for j in range(nv)
+        coeffs = {j: draw(small_fractions) for j in range(nv)
                   if draw(st.booleans())}
         lp.add_constraint(coeffs, draw(st.sampled_from(["<=", "=", ">="])),
-                          draw(fractions))
+                          draw(small_fractions))
     v = feasible(lp)
     if v.feasible and draw(st.booleans()):
         point = dict(v.point)
     else:
-        point = {j: draw(fractions) for j in range(nv)}
+        point = {j: draw(small_fractions) for j in range(nv)}
     if draw(st.booleans()):
         L = lcm(*(x.denominator for x in point.values()))
         j = draw(st.integers(0, nv - 1))
