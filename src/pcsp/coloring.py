@@ -9,7 +9,7 @@ backtracking search.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 

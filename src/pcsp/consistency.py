@@ -2,20 +2,25 @@
 
 A k-strategy on (I, S) is a nonempty family of partial homomorphisms that is
 closed under restrictions and has the extension property up to domain size k.
-``compute_strategy`` starts from all partial homomorphisms with domain of size
-at most k and removes violating maps, by support counting, until a fixed
-point; the result, if nonempty, is the unique maximal k-strategy.  The
-classical name for this procedure is (k-1)-consistency; we index by the
+The classical name for its computation is (k-1)-consistency; we index by the
 strategy domain size k.
+
+``partial_homs`` enumerates the partial homomorphisms domain by domain, with
+one ``core`` support-table lookup (the tables ``hom_search`` prunes with)
+per instance tuple that a new element completes.  ``compute_strategy`` keeps
+a set of value tuples per domain, runs arc consistency (Mackworth 1977,
+"Consistency in networks of relations") between each domain D and its
+extensions D + x, one set operation per step, and rejects at the first
+empty domain.
 """
 
-from array import array
-from bisect import bisect_left
-from itertools import compress, groupby
+from bisect import bisect
+from itertools import chain, product, repeat, starmap
 from math import comb
+from operator import add, and_, itemgetter
 from typing import Optional
 
-from .core import Structure, constraints_by_max
+from .core import Structure, constraints_by_max, support_constraints
 from .errors import BudgetExceededError
 
 DEFAULT_MAP_BUDGET = 2_000_000
@@ -38,50 +43,72 @@ def is_partial_hom(h, instance: Structure, template: Structure) -> bool:
     return True
 
 
-def _domain(h):
-    return tuple(x for x, _ in h)
+def _value_lists(instance: Structure, template: Structure, k: int, budget: int):
+    """Yield (D, values) for each domain D of size <= k, in (size, D) order:
+    the value tuples of the partial homomorphisms on D, in lex order.
 
-
-def partial_homs(instance: Structure, template: Structure, k: int, budget: int):
-    """All partial homomorphisms with |dom| <= min(k, |I|).
-
-    Ordered by (size, domain, values).  Layer i extends the maps of layer
-    i-1 by one element above their domain and checks only the tuples that
-    the new element completes: a restriction of a partial homomorphism is
-    again one, so dead maps are never extended.  Raises BudgetExceededError
-    before enumerating if the map space sum_i C(n,i)|T|^i exceeds budget.
+    D + x, for x above max D, is built from D only when D has a value tuple
+    (a restriction of a partial homomorphism is again one).  Next to v on D,
+    x takes the values of its loop mask that pass one support-table lookup
+    per tuple with largest element x and its other elements in D.  Raises
+    BudgetExceededError before enumerating if the map space
+    sum_i C(n,i)|T|^i exceeds budget.
     """
-    n = instance.n
-    k = min(k, n)
-    count = sum(comb(n, i) * template.n ** i for i in range(k + 1))
+    n, t = instance.n, template.n
+    count = sum(comb(n, i) * t ** i for i in range(k + 1))
     if count > budget:
         raise BudgetExceededError(
             "partial-map space of size %d exceeds budget %d" % (count, budget))
-    by_max = constraints_by_max(instance, template)
-    if by_max is None:
-        return []
-    out = layer = [()]
+    supports = support_constraints(instance, template)
+    if supports is None:
+        yield (), []
+        return
+    loops, checks = supports
+    by_max = [[] for _ in range(n)]
+    for y, others, table in checks:
+        by_max[y].append((frozenset(others), others, table))
+    full = (1 << t) - 1
+    singles = _Singles()
+    layer = [((), [()])]
+    yield layer[0]
     for _ in range(k):
         nxt = []
-        for dom, group in groupby(layer, key=_domain):
-            values = [tuple(a for _, a in h) for h in group]
+        for dom, values in layer:
+            if not values:
+                continue
             pos = {x: i for i, x in enumerate(dom)}
-            pos_new = len(dom)
             for x in range(dom[-1] + 1 if dom else 0, n):
-                # the tuples that x completes, as positions into values + (a,)
-                checks = [(target, tuple(pos.get(e, pos_new) for e in t))
-                          for target, t in by_max[x]
-                          if all(e in pos or e == x for e in t)]
-                ext_dom = dom + (x,)
-                for vals in values:
-                    for a in range(template.n):
-                        img = vals + (a,)
-                        if all(tuple(img[p] for p in ps) in target
-                               for target, ps in checks):
-                            nxt.append(tuple(zip(ext_dom, img)))
-        out = out + nxt
+                loop, masks = loops[x] & full, None
+                for elements, others, table in by_max[x]:
+                    if pos.keys() >= elements:
+                        key = itemgetter(*[pos[e] for e in others])
+                        found = map(table.get, map(key, values), repeat(0))
+                        masks = found if masks is None else map(and_, masks, found)
+                if masks is None:  # no tuple of x has its other elements in D
+                    ext = list(starmap(add, product(values, singles[loop])))
+                else:
+                    ext = [v + a for v, m in zip(values, masks) for a in singles[m & loop]]
+                item = (dom + (x,), ext)
+                nxt.append(item)
+                yield item
         layer = nxt
-    return out
+
+
+class _Singles(dict):
+    """A bitmask of values -> the 1-tuples of its values, ascending."""
+
+    def __missing__(self, mask):
+        out = self[mask] = [(a,) for a in range(mask.bit_length()) if mask >> a & 1]
+        return out
+
+
+def partial_homs(instance: Structure, template: Structure, k: int, budget: int):
+    """All partial homomorphisms with |dom| <= min(k, |I|), ordered by
+    (size, domain, values).  Raises BudgetExceededError before enumerating
+    if the map space sum_i C(n,i)|T|^i exceeds budget."""
+    return [tuple(zip(dom, v))
+            for dom, values in _value_lists(instance, template, min(k, instance.n), budget)
+            for v in values]
 
 
 def compute_strategy(instance: Structure, template: Structure, k: int,
@@ -89,13 +116,21 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
     """The maximal k-strategy on (I, S), or None if none exists.
 
     Returns a frozenset of partial maps (sorted (element, value) pair tuples).
-    The maximal k-strategy is unique, so the result does not depend on the
-    order of removals.  It is found by support counting (Cooper 1989, "An
-    optimal k-consistency algorithm"; its arc-consistency form is AC-4 of
-    Mohr & Henderson 1986): each map h with |dom h| < k keeps, for each x
-    outside its domain, a counter of the live extensions of h at x.  A
-    removed map decrements the counters of its restrictions and removes its
-    extensions; a counter that reaches 0 removes its map.
+    A nonempty k-strategy holds (), so by the extension property it holds a
+    map on every domain of size <= k: a domain without a partial
+    homomorphism rejects at once.  Otherwise S[D], the live value tuples on
+    D, starts as all of them, and arc consistency runs on the pairs
+    (D, D + x) with 1 <= |D| < k, where restriction to D drops x:
+      - extension: S[D] keeps the tuples that some tuple of S[D + x]
+        restricts to;
+      - restriction: S[D + x] keeps the tuples whose restriction is in S[D].
+    The enumeration is closed under restriction, so one pass of the
+    extension rule over the pairs, from the top layer down, starts it.  Then
+    a worklist of changed domains re-checks the only pairs that a shrunk
+    S[D] can break: extension below D, restriction above.  An empty set
+    rejects.  Every removed map has a local reason: no extension at some x,
+    or a dead restriction to some D.  The maximal k-strategy is unique, so
+    the result does not depend on the order of removals.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -104,78 +139,66 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
     k = min(k, instance.n)
     if budget is None:
         budget = DEFAULT_MAP_BUDGET
-    maps = partial_homs(instance, template, k, budget)
-    if not maps:
-        return None
-    alive = _support_counting(maps, instance.n, template.n, k)
-    if not alive[0]:
-        return None
-    return frozenset(compress(maps, alive))
+    live = {}
+    for dom, values in _value_lists(instance, template, k, budget):
+        if not values:
+            return None
+        live[dom] = set(values)
+    drops = [[_drop(s, j) for j in range(s)] for s in range(k + 1)]
+    work, queued = [], set()  # the domains whose sets changed
+
+    def changed(dom):
+        if dom not in queued:
+            queued.add(dom)
+            work.append(dom)
+
+    def restrict_below(e):
+        """The extension rule on the pairs (D, e); False on an empty set."""
+        se = live[e]
+        for drop in drops[len(e)]:
+            d = drop(e)
+            sd = live[d]
+            restrictions = set(map(drop, se))
+            if not sd <= restrictions:
+                sd &= restrictions
+                if not sd:
+                    return False
+                changed(d)
+        return True
+
+    for e in reversed(live):
+        if len(e) > 1 and not restrict_below(e):
+            return None
+    while work:
+        dom = work.pop()
+        queued.discard(dom)
+        s = len(dom)
+        if s > 1 and not restrict_below(dom):
+            return None
+        if s < k:
+            sd = live[dom]
+            for y in range(instance.n):
+                j = bisect(dom, y)
+                if j and dom[j - 1] == y:
+                    continue
+                e = dom[:j] + (y,) + dom[j:]
+                se, drop = live[e], drops[s + 1][j]
+                if not set(map(drop, se)) <= sd:
+                    se = live[e] = {v for v in se if drop(v) in sd}
+                    if not se:
+                        return None
+                    changed(e)
+    return frozenset(chain.from_iterable(
+        map(tuple, map(zip, repeat(dom), values)) for dom, values in live.items()))
 
 
-def _support_counting(maps, n, t, k):
-    """Live flags of the maps of the maximal k-strategy inside ``maps``.
-
-    ``maps`` is the output of ``partial_homs``, ordered by size, so the maps
-    with |dom| < k are the ids below ``small``.  Slot h*n + x stands for the
-    pair (h, x) of such a map h and an element x: ``count[slot]`` is the
-    number of live extensions of h at x, and ``ext[slot*t + a]`` is the id
-    of h + (x, a), or -1.  ``links`` holds the co-dimension-1 restrictions
-    of each map as slots, s of them for a map of size s, in id order; the
-    last one drops the largest element, which gives the parent that
-    ``partial_homs`` extended.
-    """
-    m = len(maps)
-    first = [bisect_left(maps, s, key=len) for s in range(k + 2)]
-    small = first[k]
-    count = array("i", [0]) * (small * n)
-    ext = array("i", [-1]) * (small * n * t)
-    links = array("i")
-    offset = [0] * (k + 1)  # offset[s]: the first link of the maps of size s
-    index = dict(zip(maps[:small], range(small)))
-    for s in range(1, k + 1):
-        offset[s] = len(links)
-        for g in range(first[s], first[s + 1]):
-            h = maps[g]
-            x, a = h[-1]
-            p = index[h[:-1]]
-            start = offset[s - 1] + (p - first[s - 1]) * (s - 1)
-            # h without d is p without d, extended by (x, a); the slot of
-            # p without d is r*n + d, so r*n + x is the slot of that extension
-            for (d, v), ps in zip(h, links[start:start + s - 1]):
-                slot = ext[(ps - d + x) * t + a] * n + d
-                links.append(slot)
-                ext[slot * t + v] = g
-                count[slot] += 1
-            slot = p * n + x
-            links.append(slot)
-            ext[slot * t + a] = g
-            count[slot] += 1
-    del index
-
-    alive = bytearray(b"\x01") * m
-    # no link counts slot h*n + x for x in dom h, so h has |h| such zeros
-    dead = [h for h in range(small)
-            if count[h * n:(h + 1) * n].count(0) > len(maps[h])]
-    for h in dead:
-        alive[h] = 0
-    while dead:
-        g = dead.pop()
-        s = len(maps[g])
-        start = offset[s] + (g - first[s]) * s
-        for slot in links[start:start + s]:
-            r = slot // n
-            if alive[r]:
-                count[slot] -= 1
-                if not count[slot]:
-                    alive[r] = 0
-                    dead.append(r)
-        if g < small:
-            for e in ext[g * n * t:(g + 1) * n * t]:
-                if e >= 0 and alive[e]:
-                    alive[e] = 0
-                    dead.append(e)
-    return alive
+def _drop(s, j):
+    """Restriction of a value tuple of length s to the positions other than j."""
+    if j == 0:
+        return itemgetter(slice(1, None))
+    if j == s - 1:
+        return itemgetter(slice(None, j))
+    return itemgetter(*range(j), *range(j + 1, s))
 
 
 def leq_k(instance: Structure, template: Structure, k: int,
@@ -222,29 +245,6 @@ def is_strategy(family, instance: Structure, template: Structure, k: int) -> boo
                     return False
     return all(mask.bit_count() == n - len(h)
                for h, mask in extended.items() if len(h) < k)
-
-
-def width_counterexample_check(left: Structure, right: Structure, k: int,
-                               instances):
-    """For each instance record (I <=_k S, I -> T present); flag violations.
-
-    Returns a list of dicts; an entry is a counterexample when the instance
-    passes k-consistency against S but has no homomorphism to T.
-    """
-    from .core import hom_search
-
-    report = []
-    for inst in instances:
-        accepted = leq_k(inst, left, k)
-        hom = hom_search(inst, right) is not None
-        report.append({
-            "instance": inst.name,
-            "n": inst.n,
-            "leq_k": accepted,
-            "hom_right": hom,
-            "counterexample": accepted and not hom,
-        })
-    return report
 
 
 def format_strategy(family) -> str:

@@ -269,6 +269,39 @@ def _support_table(template: Structure, sym: str, at: tuple, others: tuple) -> d
     return table
 
 
+def support_constraints(instance: Structure, template: Structure):
+    """The instance tuples as support-table lookups, as ``(loops, checks)``,
+    or None if a nullary instance tuple has no image in the template.
+
+    ``loops[x]`` masks the values x may take in the tuples of x alone (-1 if
+    there are none).  ``checks`` holds one ``(y, others, table)`` per other
+    tuple, in relation order: y is its largest element, ``others`` the
+    elements at its other positions, and ``table`` maps their values (a
+    scalar for one position) to the mask of the values y may take.
+    """
+    loops = [-1] * instance.n
+    checks = []
+    tables = {}
+    for sym, tups in instance.relations:
+        target = template.rel_set(sym)
+        for t in tups:
+            if not t:
+                if () not in target:
+                    return None
+                continue
+            *rest, y = sorted(set(t))
+            if not rest:
+                loops[y] &= sum(1 << s[0] for s in target if s.count(s[0]) == len(s))
+                continue
+            at = tuple(p for p, e in enumerate(t) if e == y)
+            others = tuple(p for p, e in enumerate(t) if e != y)
+            table = tables.get((sym, at))
+            if table is None:
+                table = tables[sym, at] = _support_table(template, sym, at, others)
+            checks.append((y, tuple(t[p] for p in others), table))
+    return loops, checks
+
+
 def _search(instance: Structure, template: Structure, fixed, budget, find_all):
     """Backtracking with forward checking; ascending variable/value order.
 
@@ -293,28 +326,15 @@ def _search(instance: Structure, template: Structure, fixed, budget, find_all):
             raise ValueError("fixed value %d out of template domain" % a)
         domains[x] = 1 << a
 
+    supports = support_constraints(instance, template)
+    if supports is None:
+        return iter(())
+    loops, checks = supports
     # prunes[x]: (y, key of the other positions, support table), in relation
     # order; pruning stops at the first wipe-out, so the order sets its cost
     prunes = [[] for _ in range(n)]
-    loops = [-1] * n  # loops[x]: values x may take in the tuples of x alone
-    tables = {}
-    for sym, tups in instance.relations:
-        target = template.rel_set(sym)
-        for t in tups:
-            if not t:
-                if () not in target:
-                    return iter(())
-                continue
-            *rest, y = sorted(set(t))
-            if not rest:
-                loops[y] &= sum(1 << s[0] for s in target if s.count(s[0]) == len(s))
-                continue
-            at = tuple(p for p, e in enumerate(t) if e == y)
-            others = tuple(p for p, e in enumerate(t) if e != y)
-            table = tables.get((sym, at))
-            if table is None:
-                table = tables[sym, at] = _support_table(template, sym, at, others)
-            prunes[rest[-1]].append((y, itemgetter(*(t[p] for p in others)), table))
+    for y, others, table in checks:
+        prunes[max(others)].append((y, itemgetter(*others), table))
     return _walk(n, domains, prunes, loops, budget, find_all)
 
 

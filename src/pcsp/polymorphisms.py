@@ -10,7 +10,6 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (
-    Signature,
     Structure,
     decode_power,
     encode_power,

@@ -1,7 +1,8 @@
 """Exact rational linear-program feasibility.
 
-Variables are symbolic keys and the data ``fractions.Fraction``s, so verdicts
-are exact and feasible points satisfy every constraint with zero tolerance.
+Variables are symbolic keys and the data exact rationals (``int``s, kept as
+they are, or ``fractions.Fraction``s), so verdicts are exact and feasible
+points satisfy every constraint with zero tolerance.
 The method is phase-I simplex on the standard-form system, using a
 largest-coefficient pivot rule that falls back to Bland's rule after a run of
 degenerate pivots (guaranteeing termination).  Each standard-form row is
@@ -52,10 +53,10 @@ class RationalLP:
         for key, c in coeffs.items():
             if key not in self._index:
                 raise ValueError("unknown variable %r" % (key,))
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 clean[key] = c
-        self.constraints.append((clean, rel, Fraction(rhs)))
+        self.constraints.append((clean, rel, _exact(rhs)))
 
     def dump(self) -> str:
         lines = ["min 0 subject to:"]
@@ -71,6 +72,12 @@ class RationalLP:
                     "-inf" if lo is None else lo, key,
                     "+inf" if hi is None else hi))
         return "\n".join(lines) + "\n"
+
+
+def _exact(v):
+    """v itself if it is an int or a Fraction (both carry ``numerator`` and
+    ``denominator``), else v as a Fraction."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
 @dataclass(frozen=True)

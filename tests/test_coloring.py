@@ -6,7 +6,6 @@ import pytest
 
 from pcsp.coloring import (
     Coloring,
-    ColoringAborted,
     color_recurrence_Q,
     exact_oracle,
     generalized_color,

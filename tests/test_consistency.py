@@ -12,9 +12,16 @@ from pcsp.consistency import (
     parse_strategy,
     partial_map,
     partial_homs,
-    width_counterexample_check,
 )
-from pcsp.core import Signature, Structure, complete_graph, cycle, hom_search
+from pcsp.core import (
+    Signature,
+    Structure,
+    complete_graph,
+    cycle,
+    exactly_template,
+    hom_search,
+    nae_template,
+)
 from pcsp.errors import BudgetExceededError
 
 
@@ -280,22 +287,69 @@ class TestLeqK:
         assert not is_strategy(s | {((0, 0), (1, 0))}, cycle(4), complete_graph(2), 2)
 
 
-class TestWidthCheck:
-    def test_k2_width3_on_small_cycles(self):
-        report = width_counterexample_check(
-            complete_graph(2), complete_graph(2), 3,
-            [cycle(n) for n in range(3, 8)])
-        assert not any(row["counterexample"] for row in report)
+def mycielski(g):
+    """The Mycielski graph of g: a copy u_i of each vertex i, adjacent to the
+    neighbours of i, and one more vertex adjacent to every u_i."""
+    n = g.n
+    edges = set(g.rel("E"))
+    for a, b in g.rel("E"):
+        edges |= {(n + a, b), (b, n + a)}
+    for i in range(n):
+        edges |= {(n + i, 2 * n), (2 * n, n + i)}
+    return Structure(g.signature, 2 * n + 1, (("E", tuple(sorted(edges))),))
 
-    def test_empty_instance_list(self):
-        assert width_counterexample_check(
-            complete_graph(2), complete_graph(2), 3, []) == []
 
-    def test_weak_k_can_produce_counterexamples(self):
-        report = width_counterexample_check(
-            complete_graph(2), complete_graph(2), 2,
-            [cycle(n) for n in (3, 5, 7)])
-        assert all(row["counterexample"] for row in report)
+GROTZSCH = mycielski(mycielski(complete_graph(2)))
+FANO = Structure(Signature((("R", 3),)), 7, (("R", (
+    (0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2))),))
+
+
+class TestNamedInstances:
+    """Sizes of the maximal k-strategy on instances of the width results, at
+    the largest accepting k and at the rejecting k above it."""
+
+    @pytest.mark.parametrize("instance, template, k, size", [
+        (GROTZSCH, complete_graph(3), 4, 12454),
+        (GROTZSCH, complete_graph(3), 5, None),
+        (mycielski(GROTZSCH), complete_graph(3), 3, 37762),
+        (FANO, exactly_template(1, 3), 3, 211),
+        (FANO, exactly_template(1, 3), 4, None),
+        (FANO, nae_template(3), 4, 813),
+        (FANO, nae_template(3), 5, None),
+        (complete_graph(4), complete_graph(3), 4, None),
+    ])
+    def test_family_size(self, instance, template, k, size):
+        family = compute_strategy(instance, template, k)
+        assert (None if family is None else len(family)) == size
+        if family is not None:
+            assert is_strategy(family, instance, template, k)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_greatest_fixed_point_on_graphs_and_hypergraphs(self, data):
+        # an odd cycle through 0..c-1, perhaps with a hub: odd cycles against
+        # K2 and odd wheels against K3 are rejected only after several
+        # rounds of removals
+        n = data.draw(st.integers(4, 7))
+        kind = data.draw(st.sampled_from(["K2", "K3", "1-in-3"]))
+        if kind == "1-in-3":
+            template = exactly_template(1, 3)
+            tups = data.draw(st.lists(st.sampled_from(list(combinations(range(n), 3))),
+                                      min_size=n - 2, max_size=2 * n, unique=True))
+        else:
+            template = complete_graph(int(kind[1]))
+            c = data.draw(st.sampled_from([c for c in (5, 7, 3) if c <= n]))
+            pairs = [(i, (i + 1) % c) for i in range(c)]
+            if c < n and data.draw(st.booleans()):
+                pairs += [(i, n - 1) for i in range(c)]
+            pairs += data.draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                                        max_size=2))
+            tups = sorted({(a, b) for a, b in pairs} | {(b, a) for a, b in pairs})
+        instance = Structure(template.signature, n,
+                             ((template.signature.names[0], tuple(tups)),))
+        for k in (2, 3, 4):
+            reference = greatest_fixed_point(instance, template, k)
+            assert compute_strategy(instance, template, k) == (frozenset(reference) or None)
 
 
 class TestStrategySerialization:

@@ -15,7 +15,6 @@ from pcsp.core import (
     cycle,
     exactly_template,
     hom_search,
-    path,
 )
 from pcsp.random_instances import (
     DIGRAPH,

@@ -12,7 +12,6 @@ from pcsp.core import (
     cycle,
     exactly_template,
     hom_search,
-    nae_template,
 )
 from pcsp.errors import BudgetExceededError
 from pcsp.ratlp import feasible
@@ -26,7 +25,6 @@ from pcsp.sherali_adams import (
     sa_solution,
     solve_sa,
     strategy_from_solution,
-    x_key,
 )
 
 SIG2 = Signature((("E", 2),))
