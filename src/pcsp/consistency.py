@@ -11,16 +11,18 @@ per instance tuple that a new element completes.  ``compute_strategy`` keeps
 a set of value tuples per domain, runs arc consistency (Mackworth 1977,
 "Consistency in networks of relations") between each domain D and its
 extensions D + x, one set operation per step, and rejects at the first
-empty domain.
+empty domain.  It returns a ``Strategy``, the same sets frozen, which
+``is_strategy`` checks by one set comparison per pair (D, D + x).
 """
 
 from bisect import bisect
+from dataclasses import dataclass
 from itertools import chain, product, repeat, starmap
 from math import comb
 from operator import add, and_, itemgetter
-from typing import Optional
+from typing import Dict, FrozenSet, Optional
 
-from .core import Structure, constraints_by_max, support_constraints
+from .core import Structure, support_constraints
 from .errors import BudgetExceededError
 
 DEFAULT_MAP_BUDGET = 2_000_000
@@ -30,6 +32,29 @@ DEFAULT_MAP_BUDGET = 2_000_000
 
 def partial_map(pairs):
     return tuple(sorted(pairs))
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """A family of partial maps as ``sets``: domain D (a tuple of elements) ->
+    the frozenset of value tuples of the maps on D.  ``len`` counts maps, and
+    iteration yields them as (element, value) pair tuples.  ``from_maps``
+    groups maps by domain as given, so an unsorted map keeps its order."""
+
+    sets: Dict[tuple, FrozenSet[tuple]]
+
+    @classmethod
+    def from_maps(cls, maps):
+        sets = {}
+        for h in maps:
+            sets.setdefault(tuple(x for x, _ in h), set()).add(tuple(a for _, a in h))
+        return cls({dom: frozenset(values) for dom, values in sets.items()})
+
+    def __len__(self):
+        return sum(map(len, self.sets.values()))
+
+    def __iter__(self):
+        return (tuple(zip(dom, v)) for dom, values in self.sets.items() for v in values)
 
 
 def is_partial_hom(h, instance: Structure, template: Structure) -> bool:
@@ -115,7 +140,7 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
                      budget: Optional[int] = None):
     """The maximal k-strategy on (I, S), or None if none exists.
 
-    Returns a frozenset of partial maps (sorted (element, value) pair tuples).
+    Returns a ``Strategy``: S[D] for every domain D of size <= min(k, |I|).
     A nonempty k-strategy holds (), so by the extension property it holds a
     map on every domain of size <= k: a domain without a partial
     homomorphism rejects at once.  Otherwise S[D], the live value tuples on
@@ -188,8 +213,7 @@ def compute_strategy(instance: Structure, template: Structure, k: int,
                     if not se:
                         return None
                     changed(e)
-    return frozenset(chain.from_iterable(
-        map(tuple, map(zip, repeat(dom), values)) for dom, values in live.items()))
+    return Strategy({dom: frozenset(values) for dom, values in live.items()})
 
 
 def _drop(s, j):
@@ -206,64 +230,57 @@ def leq_k(instance: Structure, template: Structure, k: int,
     return compute_strategy(instance, template, k, budget) is not None
 
 
-def is_strategy(family, instance: Structure, template: Structure, k: int) -> bool:
-    """Check the defining conditions of a k-strategy in one pass.
+def is_strategy(strategy: Strategy, instance: Structure, template: Structure,
+                k: int) -> bool:
+    """Check the defining conditions of a k-strategy by set equality.
 
-    Every map must be a sorted tuple of (element, value) pairs with distinct
-    elements of I and values of S, of size at most k, with its co-dimension-1
-    restrictions in the family.  A map is checked to be a partial
-    homomorphism only on the tuples whose largest element is its own
-    largest: the rest lie inside its restriction without that element,
-    which is in the family, so by induction on size they hold once every
-    restriction is found.  The extension property is checked by counting,
-    for each map, the distinct elements at which the family extends it.
+    () must be in the family.  Every domain D must be a strictly increasing
+    tuple of elements of I of size <= k, and each of its value tuples must
+    have length |D| and values in S.  For |D| < k and x not in D, dropping x
+    from S[D + x] (empty if absent) must give S[D]: inclusion is closure under
+    restriction, and covering is the extension property.  Relations are
+    checked only on the tuples whose largest element is max D; the others lie
+    inside D without max D, whose set is checked itself.
     """
-    extended = dict.fromkeys(family, 0)  # map -> elements it is extended at
-    if not extended:
+    sets = strategy.sets
+    if () not in sets.get((), ()):
         return False
-    by_max = constraints_by_max(instance, template)
-    if by_max is None:
-        return False
-    n, t = instance.n, template.n
-    for h in extended:
-        if len(h) > k:
+    n, elements, values = instance.n, set(range(instance.n)), set(range(template.n))
+    for dom, vs in sets.items():
+        if len(dom) > k or not elements.issuperset(dom) or dom != tuple(sorted(set(dom))) \
+                or not {len(dom)}.issuperset(map(len, vs)) \
+                or not values.issuperset(chain.from_iterable(vs)):
             return False
-        x = -1
-        for i, (y, a) in enumerate(h):
-            if not (x < y < n and 0 <= a < t):
+    by_max = [[] for _ in range(n)]
+    for sym, tups in instance.relations:
+        for tup in tups:
+            if tup:
+                by_max[max(tup)].append((template.rel_set(sym), tup))
+            elif () not in template.rel_set(sym):
                 return False
-            x = y
-            r = h[:i] + h[i + 1:]
-            if r not in extended:
-                return False
-            extended[r] |= 1 << x
-        if h:
-            dom = dict(h)
-            for target, tup in by_max[x]:
-                if all(e in dom for e in tup) and \
-                        tuple(dom[e] for e in tup) not in target:
+    drops = [[_drop(s, j) for j in range(s)] for s in range(min(k, n) + 1)]
+    for dom, vs in sets.items():
+        s = len(dom)
+        if s < k:
+            for x in elements.difference(dom):
+                j = bisect(dom, x)
+                if set(map(drops[s + 1][j], sets.get(dom[:j] + (x,) + dom[j:], ()))) != vs:
                     return False
-    return all(mask.bit_count() == n - len(h)
-               for h, mask in extended.items() if len(h) < k)
+        if dom:
+            for target, tup in by_max[dom[-1]]:
+                if set(dom).issuperset(tup):
+                    at = [dom.index(x) for x in tup]
+                    key = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+                    if not target.issuperset(map(key, vs)):
+                        return False
+    return True
 
 
-def format_strategy(family) -> str:
-    lines = []
-    for h in sorted(family):
-        lines.append(" ".join("%d:%d" % (x, a) for x, a in h))
-    return "\n".join(lines) + "\n"
+def format_strategy(strategy: Strategy) -> str:
+    return "".join(" ".join("%d:%d" % pair for pair in h) + "\n" for h in sorted(strategy))
 
 
-def parse_strategy(text: str):
-    out = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            out.add(())
-            continue
-        pairs = []
-        for part in line.split():
-            x, a = part.split(":")
-            pairs.append((int(x), int(a)))
-        out.add(partial_map(pairs))
-    return frozenset(out)
+def parse_strategy(text: str) -> Strategy:
+    return Strategy.from_maps(
+        partial_map((int(x), int(a)) for x, a in (part.split(":") for part in line.split()))
+        for line in text.splitlines())

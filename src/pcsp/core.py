@@ -237,24 +237,6 @@ def induced_substructure(struct: Structure, subset: Iterable[int]):
 # Homomorphism search
 
 
-def constraints_by_max(instance: Structure, template: Structure):
-    """Instance tuples as (template relation set, tuple) pairs, by largest element.
-
-    Entry x lists the tuples whose largest element is x, so they become
-    checkable once 0..x are assigned.  Returns None if a nullary instance
-    tuple has no image in the template (then no map is a homomorphism).
-    """
-    by_max = [[] for _ in range(instance.n)]
-    for sym, tups in instance.relations:
-        target = template.rel_set(sym)
-        for t in tups:
-            if t:
-                by_max[max(t)].append((target, t))
-            elif () not in target:
-                return None
-    return by_max
-
-
 def _support_table(template: Structure, sym: str, at: tuple, others: tuple) -> dict:
     """Allowed values, as a bitmask, of the element at positions ``at`` of a
     ``sym`` tuple, keyed by the values at positions ``others``: a scalar for

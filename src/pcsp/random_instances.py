@@ -338,17 +338,6 @@ def degrees(struct: Structure) -> Dict[int, int]:
     return deg
 
 
-def sdr(edge, struct: Structure) -> Fraction:
-    """Sum of reciprocal degrees over the elements of one edge."""
-    deg = degrees(struct)
-    total = Fraction(0)
-    for x in set(edge):
-        if deg[x] == 0:
-            raise ValueError("element %d has degree zero" % x)
-        total += Fraction(1, deg[x])
-    return total
-
-
 def _boundary_candidates(struct: Structure, r: int):
     """Canonical type-(1)/(2) candidate sets with their witness tuples."""
     deg = degrees(struct)

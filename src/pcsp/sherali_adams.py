@@ -9,9 +9,9 @@ away rather than emitted; the resulting LP is equivalent.
 """
 
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
-from .consistency import is_partial_hom, partial_homs, partial_map
+from .consistency import Strategy, partial_homs, partial_map
 from .core import Structure
 from .ratlp import EQ, RationalLP, Verdict, feasible
 
@@ -127,9 +127,9 @@ def sa_solution(point: Dict) -> Dict:
     return {key[1]: val for key, val in point.items() if key[0] == "x"}
 
 
-def strategy_from_solution(sol: Dict):
+def strategy_from_solution(sol: Dict) -> Strategy:
     """The nonzero-support family; a k-strategy whenever sol is feasible."""
-    return frozenset(f for f, v in sol.items() if v != 0)
+    return Strategy.from_maps(f for f, v in sol.items() if v != 0)
 
 
 def condition_on(sol: Dict, v: int, b: int) -> Dict:
@@ -161,28 +161,6 @@ def check_sa1(instance: Structure, template: Structure, sol1: Dict) -> bool:
         if key[0] == "x":
             lp.add_constraint({key: 1}, EQ, sol1.get(key[1], Fraction(0)))
     return feasible(lp).feasible
-
-
-def augmented_sa1_check(instance: Structure, s: int, r: int,
-                        template: Optional[Structure] = None) -> bool:
-    """For every element some value can be pinned to 1 in a feasible level-1 LP."""
-    from .core import exactly_template
-
-    template = template or exactly_template(s, r)
-    for v in range(instance.n):
-        ok = False
-        for b in range(template.n):
-            key = ((v, b),)
-            if not is_partial_hom(key, instance, template):
-                continue
-            lp = build_sa(instance, template, 1)
-            lp.add_constraint({x_key(key): 1}, EQ, 1)
-            if feasible(lp).feasible:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
 
 
 def format_certificate(point: Dict) -> str:

@@ -1,9 +1,11 @@
+import hashlib
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcsp.consistency import (
+    Strategy,
     compute_strategy,
     format_strategy,
     is_partial_hom,
@@ -64,7 +66,7 @@ class TestComputeStrategy:
 
     def test_empty_instance(self):
         empty = Structure(Signature((("E", 2),)), 0)
-        assert compute_strategy(empty, complete_graph(2), 3) == frozenset({()})
+        assert compute_strategy(empty, complete_graph(2), 3) == Strategy({(): frozenset({()})})
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -75,8 +77,9 @@ class TestComputeStrategy:
         # that the fixed point is itself a strategy and that re-running the
         # removal on it changes nothing
         s = compute_strategy(complete_graph(3), complete_graph(3), 2)
-        assert s == frozenset(h for h in partial_homs(
-            complete_graph(3), complete_graph(3), 2, budget=100) if h in s)
+        maps = set(s)
+        assert s == Strategy.from_maps(h for h in partial_homs(
+            complete_graph(3), complete_graph(3), 2, budget=100) if h in maps)
         assert is_strategy(s, complete_graph(3), complete_graph(3), 2)
 
     @given(st.data())
@@ -85,7 +88,7 @@ class TestComputeStrategy:
         inst, tmpl = random_pair(data)
         k = data.draw(st.integers(1, 5))
         reference = greatest_fixed_point(inst, tmpl, k)
-        assert compute_strategy(inst, tmpl, k) == (frozenset(reference) or None)
+        assert compute_strategy(inst, tmpl, k) == strategy_or_none(reference)
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_unsatisfied_nullary_relation_has_no_strategy(self, n):
@@ -98,7 +101,7 @@ class TestComputeStrategy:
         sig = Signature((("Z", 0),))
         inst = Structure(sig, 0, (("Z", ((),)),))
         tmpl = Structure(sig, 1, (("Z", ((),)),))
-        assert compute_strategy(inst, tmpl, 1) == frozenset({()})
+        assert compute_strategy(inst, tmpl, 1) == Strategy({(): frozenset({()})})
 
 
 def random_pair(data, n_max=4, tn_max=3):
@@ -115,6 +118,10 @@ def random_pair(data, n_max=4, tn_max=3):
 
     return (structure(data.draw(st.integers(1, n_max)), 5),
             structure(data.draw(st.integers(1, tn_max)), 6))
+
+
+def strategy_or_none(maps):
+    return Strategy.from_maps(maps) if maps else None
 
 
 def greatest_fixed_point(instance, template, k):
@@ -256,9 +263,8 @@ class TestLeqK:
         tt = data.draw(st.lists(st.tuples(*[st.integers(0, tn - 1)] * ar), max_size=6))
         tmpl = Structure(inst.signature, tn, (("R", tuple(tt)),))
         k = data.draw(st.integers(1, 3))
-        fam = compute_strategy(inst, tmpl, k) or \
-            frozenset(partial_homs(inst, tmpl, k, budget=10 ** 6))
-        fam = set(fam)
+        fam = set(compute_strategy(inst, tmpl, k) or
+                  partial_homs(inst, tmpl, k, budget=10 ** 6))
         change = data.draw(st.sampled_from(["none", "drop", "add", "forge"]))
         if change == "drop" and fam:
             fam.discard(data.draw(st.sampled_from(sorted(fam))))
@@ -272,19 +278,56 @@ class TestLeqK:
             forged = h[:i] + ((h[i][0], data.draw(st.integers(0, tn - 1))),) + h[i + 1:]
             fam.discard(h)
             fam.add(forged)
-        assert is_strategy(fam, inst, tmpl, k) == \
+        assert is_strategy(Strategy.from_maps(fam), inst, tmpl, k) == \
             reference_is_strategy(fam, inst, tmpl, k)
 
     def test_checker_rejects_a_map_that_is_not_sorted(self):
+        # (1, 0) is a top-layer domain, so only the shape guard sees it
         s = set(compute_strategy(cycle(4), complete_graph(2), 2))
-        assert is_strategy(s, cycle(4), complete_graph(2), 2)
-        assert not is_strategy(s | {((1, 1), (0, 0))}, cycle(4), complete_graph(2), 2)
+        assert is_strategy(Strategy.from_maps(s), cycle(4), complete_graph(2), 2)
+        assert not is_strategy(Strategy.from_maps(s | {((1, 1), (0, 0))}),
+                               cycle(4), complete_graph(2), 2)
 
     def test_checker_rejects_a_violated_tuple_with_all_restrictions_present(self):
         # (0, 0), (1, 0) breaks the edge (0, 1); both its restrictions are
         # maps of the strategy
         s = set(compute_strategy(cycle(4), complete_graph(2), 2))
-        assert not is_strategy(s | {((0, 0), (1, 0))}, cycle(4), complete_graph(2), 2)
+        assert not is_strategy(Strategy.from_maps(s | {((0, 0), (1, 0))}),
+                               cycle(4), complete_graph(2), 2)
+
+    @pytest.mark.parametrize("defect", [
+        "element >= n", "value >= |T|", "map larger than k", "repeated element",
+        "no ()", "value tuple shorter than its domain"])
+    def test_checker_rejects_a_family_of_the_wrong_shape(self, defect):
+        # each family passes every other check of is_strategy on (C4, K2, k):
+        # the defect is in the top layer, or in values the relations never see
+        c4, k2, k = cycle(4), complete_graph(2), 2
+        maps = set(compute_strategy(c4, k2, k))
+        instance = c4
+        if defect == "element >= n":
+            maps = set(compute_strategy(Structure(c4.signature, 5, c4.relations), k2, k))
+        elif defect == "value >= |T|":
+            instance = Structure(c4.signature, 4)
+            maps = set(compute_strategy(instance, complete_graph(3), k))
+        elif defect == "map larger than k":
+            maps = set(compute_strategy(c4, k2, k + 1))
+        elif defect == "repeated element":
+            maps.add(((0, 0), (0, 0)))
+        elif defect == "no ()":
+            maps.discard(())
+        strategy = Strategy.from_maps(maps)
+        if defect == "value tuple shorter than its domain":  # no map has this shape
+            k = 1
+            sets = compute_strategy(c4, k2, k).sets
+            strategy = Strategy({**sets, (0,): sets[(0,)] | {()}})
+        assert not is_strategy(strategy, instance, k2, k)
+
+    def test_checker_rejects_an_unsatisfied_nullary_relation(self):
+        sig = Signature((("Z", 0),))
+        inst = Structure(sig, 0, (("Z", ((),)),))
+        assert is_strategy(Strategy({(): frozenset({()})}), inst,
+                           Structure(sig, 1, (("Z", ((),)),)), 1)
+        assert not is_strategy(Strategy({(): frozenset({()})}), inst, Structure(sig, 1), 1)
 
 
 def mycielski(g):
@@ -317,6 +360,7 @@ class TestNamedInstances:
         (FANO, nae_template(3), 4, 813),
         (FANO, nae_template(3), 5, None),
         (complete_graph(4), complete_graph(3), 4, None),
+        (mycielski(GROTZSCH), complete_graph(3), 4, 307597),
     ])
     def test_family_size(self, instance, template, k, size):
         family = compute_strategy(instance, template, k)
@@ -349,10 +393,22 @@ class TestNamedInstances:
                              ((template.signature.names[0], tuple(tups)),))
         for k in (2, 3, 4):
             reference = greatest_fixed_point(instance, template, k)
-            assert compute_strategy(instance, template, k) == (frozenset(reference) or None)
+            assert compute_strategy(instance, template, k) == strategy_or_none(reference)
 
 
 class TestStrategySerialization:
     def test_roundtrip(self):
         s = compute_strategy(cycle(4), complete_graph(2), 2)
         assert parse_strategy(format_strategy(s)) == s
+
+    @pytest.mark.parametrize("instance, template, k, size, digest", [
+        (GROTZSCH, complete_graph(3), 4, 12454, "70af86aecba4e73e"),
+        (FANO, nae_template(3), 4, 813, "628c71fa5ed72556"),
+        (FANO, exactly_template(1, 3), 3, 211, "3a58329b70b9e4e7"),
+        (cycle(4), complete_graph(2), 3, 29, "35b99c65c271fa16"),
+    ])
+    def test_file_bytes_are_pinned(self, instance, template, k, size, digest):
+        # one sorted map per line, as "element:value" pairs
+        s = compute_strategy(instance, template, k)
+        assert len(s) == size
+        assert hashlib.sha256(format_strategy(s).encode()).hexdigest()[:16] == digest

@@ -35,7 +35,6 @@ from pcsp.random_instances import (
     p1,
     p2,
     sample_hypergraph,
-    sdr,
 )
 
 import random
@@ -412,6 +411,7 @@ class TestBoundarySets:
 
     def test_path_of_length_two_r2(self):
         s = graph(3, [(0, 1), (1, 2)])
+        assert degrees(s) == {0: 1, 1: 2, 2: 1}
         fam = find_boundary_sets(s, 2)
         # endpoints are two disjoint type-(1) singletons; the middle
         # vertex is a type-(2) singleton disjoint from both
@@ -465,27 +465,6 @@ class TestBoundarySets:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             is_boundary_set(cycle(3), set(), complete_graph(3))
-
-
-class TestSdr:
-    def test_all_degree_one(self):
-        s = Structure(hypergraph_signature(3), 3, (("R", ((0, 1, 2),)),))
-        assert sdr((0, 1, 2), s) == 3
-
-    def test_mixed_degrees(self):
-        s = graph(3, [(0, 1), (1, 2)])
-        assert sdr((0, 1), s) == Fraction(3, 2)
-        assert degrees(s) == {0: 1, 1: 2, 2: 1}
-
-    def test_sum_over_edges_counts_elements(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            s = sample_hypergraph(8, 2, 3, seed=rng.randrange(10 ** 6))
-            if not s.rel("R"):
-                continue
-            total = sum(sdr(e, s) for e in s.rel("R"))
-            nonisolated = sum(1 for x, d in degrees(s).items() if d > 0)
-            assert total == nonisolated
 
 
 class TestDensityPremise:

@@ -10,13 +10,11 @@ from pcsp.core import (
     Structure,
     complete_graph,
     cycle,
-    exactly_template,
     hom_search,
 )
 from pcsp.errors import BudgetExceededError
 from pcsp.ratlp import feasible
 from pcsp.sherali_adams import (
-    augmented_sa1_check,
     build_sa,
     check_sa1,
     condition_on,
@@ -127,7 +125,7 @@ class TestLeqSA:
         if v.feasible:
             support = strategy_from_solution(sa_solution(v.point))
             assert is_strategy(support, inst, tmpl, k)
-            assert support <= compute_strategy(inst, tmpl, k)
+            assert set(support) <= set(compute_strategy(inst, tmpl, k))
 
 
 class TestConditioning:
@@ -162,30 +160,6 @@ class TestConditioning:
         cond = condition_on(sol, 0, h[0])
         for u in range(4):
             assert cond[((u, h[u]),)] == 1
-
-
-class TestAugmented:
-    def test_instance_with_hom_passes(self):
-        sig = Signature((("R", 3),))
-        inst = Structure(sig, 3, (("R", ((0, 1, 2),)),))
-        assert augmented_sa1_check(inst, 1, 3)
-
-    def test_contradictory_instance_fails(self):
-        # x+x+x = 1 over {0,1} has no value: v -> 0 gives sum 0, v -> 1 sum 3
-        sig = Signature((("R", 3),))
-        inst = Structure(sig, 1, (("R", ((0, 0, 0),)),))
-        assert not augmented_sa1_check(inst, 1, 3)
-
-    def test_sa2_feasible_implies_augmented(self):
-        sig = Signature((("R", 3),))
-        rng = random.Random(17)
-        for _ in range(6):
-            n = rng.randint(2, 4)
-            inst = Structure(sig, n, (("R", tuple(
-                tuple(rng.randrange(n) for _ in range(3))
-                for _ in range(rng.randint(1, 3)))),))
-            if leq_sa(inst, exactly_template(1, 3), 2):
-                assert augmented_sa1_check(inst, 1, 3)
 
 
 class TestCertificate:
