@@ -20,7 +20,7 @@ from . import polymorphisms as poly
 from . import random_instances as ri
 from . import sherali_adams as sa
 from . import template_analyzer as ta
-from .core import Structure, env_node_budget, load_structure, save_structure
+from .core import Structure, env_node_budget, hom_search, load_structure, save_structure
 from .errors import (
     BudgetExceededError,
     InternalError,
@@ -216,8 +216,6 @@ def cmd_bench(args):
                 row["leq_k%d" % k] = cons.leq_k(inst, left, k)
             for l in levels:
                 row["leq_sa%d" % l] = sa.leq_sa(inst, left, l)
-            from .core import hom_search
-
             row["hom"] = hom_search(inst, right) is not None
             rows.append(row)
     _write_csv(args.out, fields, rows)

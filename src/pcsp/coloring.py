@@ -1,11 +1,11 @@
 """Graph coloring with sublinear-palette guarantees.
 
 Wigderson-style coloring with at most 3*ceil(sqrt(n)) colors, list
-2-coloring by implication closure, the recursive case-(a)/(b) coloring
-scheme with palette governed by the recurrence Q(m) = 3 + Q(m - ceil(C
-m^(1-eps))), and a block-partition baseline.  The 3-coloring subproblems
-are delegated to an oracle: either a planted hidden coloring or exact
-backtracking search.
+2-coloring by unit propagation (2-coloring is its all-{0, 1} case), the
+recursive case-(a)/(b) coloring scheme with palette governed by the
+recurrence Q(m) = 3 + Q(m - ceil(C m^(1-eps))), and a block-partition
+baseline.  The 3-coloring subproblems are delegated to an oracle: either
+a planted hidden coloring or exact backtracking search.
 """
 
 import math
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .core import (
-    GRAPH_SIG,
-    Structure,
-    complete_graph,
-    hom_search,
-    induced_substructure,
-)
+from .core import GRAPH_SIG, Structure, complete_graph, hom_search
 from .errors import PcspError, PromiseViolationError
 from .seeds import derive_rng
 
@@ -41,6 +35,13 @@ def make_graph(n: int, edges) -> Structure:
         sym.add((u, v))
         sym.add((v, u))
     return Structure(GRAPH_SIG, n, (("E", tuple(sorted(sym))),))
+
+
+def _induced(adj, vertices) -> Structure:
+    """The subgraph induced by ``vertices``; new vertex i is vertices[i]."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return make_graph(len(vertices), [(i, pos[w]) for i, v in enumerate(vertices)
+                                      for w in adj[v] if pos.get(w, -1) > i])
 
 
 def check_graph(g: Structure) -> None:
@@ -111,12 +112,10 @@ def exact_oracle(budget: int = 500_000):
 
     def answer(g, subset):
         subset = sorted(subset)
-        sub, index_map = induced_substructure(g, subset)
-        sub = Structure(GRAPH_SIG, sub.n, (("E", sub.relations[0][1]),))
-        h = hom_search(sub, K3, budget=budget)
+        h = hom_search(_induced(adjacency(g), subset), K3, budget=budget)
         if h is None:
             return None
-        return {index_map[i]: h[i] for i in range(sub.n)}
+        return dict(zip(subset, h))
 
     return answer
 
@@ -126,141 +125,68 @@ def exact_oracle(budget: int = 500_000):
 
 
 def two_color(g: Structure) -> Optional[Coloring]:
-    """BFS bipartition per component; None iff some component is odd."""
-    check_graph(g)
-    adj = adjacency(g)
-    colors = {}
-    for start in range(g.n):
-        if start in colors:
-            continue
-        colors[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in colors:
-                    colors[w] = 1 - colors[u]
-                    queue.append(w)
-                elif colors[w] == colors[u]:
-                    return None
-    return Coloring(colors, max(colors.values(), default=-1) + 1)
+    """A proper 2-coloring, or None iff some component is odd.
+
+    The smallest vertex of each component gets color 0, which fixes the
+    rest of a bipartite component.
+    """
+    return list_two_color(g, dict.fromkeys(range(g.n), (0, 1)))
 
 
 def list_two_color(g: Structure, lists: Dict[int, set]) -> Optional[Coloring]:
     """A proper coloring with c(v) in lists[v], or None.
 
-    Lists have size <= 2; singletons are propagated to a fixpoint, the
-    residual instance is a 2-SAT implication closure solved by SCC.
+    Lists have size <= 2.  Unit propagation: every vertex with at most
+    one color is forced, then each uncolored vertex in ascending order is
+    tried with its first color and, if that propagates to a conflict,
+    with its second.  A trial that succeeds leaves the lists of the
+    uncolored vertices untouched, so it is never undone, and one trial
+    per vertex decides the 2-SAT instance exactly (Even, Itai & Shamir
+    1976).
     """
     check_graph(g)
-    lists = {v: sorted(set(lists[v])) for v in range(g.n)}
-    if any(len(l) > 2 for l in lists.values()):
+    lists = [sorted(set(lists[v])) for v in range(g.n)]
+    if any(len(l) > 2 for l in lists):
         raise ValueError("lists must have size <= 2")
     adj = adjacency(g)
+    color = [-1] * g.n  # -1: uncolored
 
-    colors = {}
-    pending = [v for v, l in lists.items() if len(l) <= 1]
-    while pending:
-        v = pending.pop()
-        if v in colors:
-            continue
-        if not lists[v]:
-            return None
-        colors[v] = lists[v][0]
-        for w in adj[v]:
-            if w in colors:
-                if colors[w] == colors[v]:
-                    return None
+    def force(v, c):
+        """Color v with c and propagate; on a conflict undo this call's
+        colors and return False."""
+        done = []
+        stack = [(v, c)]
+        while stack:
+            u, cu = stack.pop()
+            if color[u] != -1:
+                if color[u] != cu:
+                    return undo(done)
                 continue
-            if colors[v] in lists[w]:
-                lists[w] = [c for c in lists[w] if c != colors[v]]
-                if len(lists[w]) <= 1:
-                    pending.append(w)
+            color[u] = cu
+            done.append(u)
+            for w in adj[u]:
+                lw = lists[w]
+                if cu not in lw:
+                    continue
+                if color[w] == cu or len(lw) == 1:
+                    return undo(done)
+                if color[w] == -1:
+                    stack.append((w, lw[1] if lw[0] == cu else lw[0]))
+        return True
 
-    free = [v for v in range(g.n) if v not in colors]
-    # 2-SAT: variable per free vertex, True = second list entry
-    nvar = len(free)
-    index = {v: i for i, v in enumerate(free)}
+    def undo(done):
+        for u in done:
+            color[u] = -1
+        return False
 
-    def lit(i, val):
-        return 2 * i + (1 if val else 0)
-
-    impl = [[] for _ in range(2 * nvar)]
-
-    def add_clause(a, b):
-        # a OR b, literals as (var, bool)
-        (ia, va), (ib, vb) = a, b
-        impl[lit(ia, not va)].append(lit(ib, vb))
-        impl[lit(ib, not vb)].append(lit(ia, va))
-
-    for v in free:
-        for w in adj[v]:
-            if w not in index or w < v:
-                continue
-            for ci, cu in enumerate(lists[v]):
-                for cj, cw in enumerate(lists[w]):
-                    if cu == cw:
-                        # not (v=cu and w=cw)
-                        add_clause((index[v], ci == 0), (index[w], cj == 0))
-
-    assignment = _two_sat(2 * nvar, impl)
-    if assignment is None:
-        return None
-    for v in free:
-        colors[v] = lists[v][1 if assignment[index[v]] else 0]
-    palette = max(colors.values(), default=-1) + 1
-    return Coloring(colors, palette)
-
-
-def _two_sat(nlits: int, impl) -> Optional[List[bool]]:
-    """Tarjan SCC over the implication graph; None when unsatisfiable."""
-    comp = [-1] * nlits
-    low = [0] * nlits
-    num = [-1] * nlits
-    counter = [0]
-    ncomp = [0]
-    stack = []
-    onstack = [False] * nlits
-
-    for root in range(nlits):
-        if num[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ei = work[-1]
-            if ei == 0:
-                num[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                onstack[node] = True
-            if ei < len(impl[node]):
-                work[-1] = (node, ei + 1)
-                nxt = impl[node][ei]
-                if num[nxt] == -1:
-                    work.append((nxt, 0))
-                elif onstack[nxt]:
-                    low[node] = min(low[node], num[nxt])
-            else:
-                if low[node] == num[node]:
-                    while True:
-                        w = stack.pop()
-                        onstack[w] = False
-                        comp[w] = ncomp[0]
-                        if w == node:
-                            break
-                    ncomp[0] += 1
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    out = []
-    for i in range(0, nlits, 2):
-        if comp[i] == comp[i + 1]:
+    for v in range(g.n):
+        if len(lists[v]) < 2 and not (lists[v] and force(v, lists[v][0])):
+            return None  # an empty list, or forced colors that clash
+    for v in range(g.n):
+        if color[v] == -1 and not force(v, lists[v][0]) \
+                and not force(v, lists[v][1]):
             return None
-        # reverse topological order: higher component index is earlier,
-        # pick the literal whose component comes later in topo order
-        out.append(comp[i + 1] < comp[i])
-    return out
+    return Coloring(dict(enumerate(color)), max(color, default=-1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +218,11 @@ def wigderson_color(g: Structure, oracle=None) -> Coloring:
         v = max(alive, key=lambda u: (degree[u], -u), default=None)
         if v is None or degree[v] < t:
             break
-        nb = adj[v] & alive
-        blob = nb | {v}
-        twoc = two_color(_restrict_to(g, nb))
+        nb = sorted(adj[v] & alive)
+        blob = set(nb) | {v}
+        twoc = two_color(_induced(adj, nb))
         if twoc is not None:
-            hv = {w: twoc.colors[w] + 1 for w in nb}
+            hv = {w: twoc.colors[i] + 1 for i, w in enumerate(nb)}
             hv[v] = 0
         else:
             full = oracle(g, sorted(blob))
@@ -335,13 +261,6 @@ def wigderson_color(g: Structure, oracle=None) -> Coloring:
         top = a + 2
     palette = max(colors.values(), default=0) + 1
     return Coloring(colors, palette)
-
-
-def _restrict_to(g: Structure, subset) -> Structure:
-    subset = set(subset)
-    edges = tuple((u, v) for u, v in g.relations[0][1]
-                  if u in subset and v in subset)
-    return Structure(GRAPH_SIG, g.n, (("E", edges),))
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +389,13 @@ def _color_case_a(g, adj, s, h, nsub, oracle):
     """Extend the 3-coloring h of S to N(S) by list coloring, with an
     oracle fallback on the whole blob when h does not extend."""
     sset = set(s)
-    pos = {v: i for i, v in enumerate(nsub)}
-    edges = [(pos[u], pos[v]) for u in nsub for v in adj[u]
-             if v in pos and pos[u] < pos[v]]
-    sub = make_graph(len(nsub), edges)
-    lists = {}
-    for v in nsub:
-        banned = {h[u] for u in adj[v] & sset}
-        lists[pos[v]] = set(range(3)) - banned
-    lc = list_two_color(sub, lists)
+    lists = {i: {0, 1, 2} - {h[u] for u in adj[v] & sset}
+             for i, v in enumerate(nsub)}
+    lc = list_two_color(_induced(adj, nsub), lists)
     if lc is not None:
         out = {v: h[v] for v in s}
-        for v in nsub:
-            out[v] = lc.colors[pos[v]]
+        for i, v in enumerate(nsub):
+            out[v] = lc.colors[i]
         return out
     full = oracle(g, sorted(sset | set(nsub)))
     if full is None:

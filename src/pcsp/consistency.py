@@ -57,17 +57,6 @@ class Strategy:
         return (tuple(zip(dom, v)) for dom, values in self.sets.items() for v in values)
 
 
-def is_partial_hom(h, instance: Structure, template: Structure) -> bool:
-    dom = dict(h)
-    for sym, tups in instance.relations:
-        target = template.rel_set(sym)
-        for t in tups:
-            if all(x in dom for x in t):
-                if tuple(dom[x] for x in t) not in target:
-                    return False
-    return True
-
-
 def _value_lists(instance: Structure, template: Structure, k: int, budget: int):
     """Yield (D, values) for each domain D of size <= k, in (size, D) order:
     the value tuples of the partial homomorphisms on D, in lex order.

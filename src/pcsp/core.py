@@ -126,15 +126,6 @@ class Structure:
     def relation(self, name: str) -> Relation:
         return Relation(self.signature.arity(name), self.n, self.rel(name))
 
-    def total_tuples(self) -> int:
-        return sum(len(tups) for _, tups in self.relations)
-
-    def elements(self):
-        return range(self.n)
-
-    def with_name(self, name: str) -> "Structure":
-        return Structure(self.signature, self.n, self.relations, name)
-
 
 # ---------------------------------------------------------------------------
 # Relational algebra

@@ -5,7 +5,10 @@ families: x_empty = 1; marginalization sums; and, per constraint scope, an
 exact extended formulation with one fresh lambda variable per template tuple
 (a convex combination over the images of the scope).  Maps that are not
 partial homomorphisms are fixed to zero by the system, so they are presolved
-away rather than emitted; the resulting LP is equivalent.
+away rather than emitted; the resulting LP is equivalent.  The x variables
+carry no upper bound: x_empty = 1, the marginalization rows and
+nonnegativity give x_g <= x_f for every one-element extension g of f, so
+x_f <= 1 follows by induction on |f|.
 """
 
 from fractions import Fraction
@@ -61,7 +64,7 @@ def build_sa(instance: Structure, template: Structure, k: int,
 
     lp = RationalLP()
     for f in homs:
-        lp.add_variable(x_key(f), 0, 1)
+        lp.add_variable(x_key(f), 0)
 
     # normalization
     lp.add_constraint({x_key(()): 1}, EQ, 1)

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsp.coloring import (
     Coloring,
@@ -23,6 +25,40 @@ from pcsp.errors import BudgetExceededError, PromiseViolationError
 
 def cycle_graph(n):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def bfs_two_color(n, edges):
+    """Breadth-first bipartition, each component rooted at its smallest
+    vertex with color 0; None when some component is odd."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    colors = {}
+    for root in range(n):
+        if root in colors:
+            continue
+        colors[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in colors:
+                        colors[w] = 1 - colors[u]
+                        nxt.append(w)
+                    elif colors[w] == colors[u]:
+                        return None
+            frontier = nxt
+    return colors
+
+
+@st.composite
+def small_graphs(draw, n_max=8):
+    n = draw(st.integers(0, n_max))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return n, sorted(edges)
 
 
 class TestTwoColor:
@@ -62,6 +98,13 @@ class TestTwoColor:
             if col is not None:
                 assert validate_coloring(g, col)
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(n_max=12))
+    def test_matches_independent_bfs(self, graph):
+        n, edges = graph
+        col = two_color(make_graph(n, edges))
+        assert (None if col is None else col.colors) == bfs_two_color(n, edges)
+
 
 class TestListTwoColor:
     def test_path_alternates(self):
@@ -85,6 +128,27 @@ class TestListTwoColor:
     def test_empty_list_absent(self):
         g = make_graph(2, [(0, 1)])
         assert list_two_color(g, {0: set(), 1: {0, 1}}) is None
+
+    def test_first_trial_fails(self):
+        # coloring 0 with 0 forces 1 and 2 onto color 2, and they are adjacent
+        g = cycle_graph(3)
+        col = list_two_color(g, {0: {0, 1}, 1: {0, 2}, 2: {0, 2}})
+        assert col.colors == {0: 1, 1: 0, 2: 2}
+        assert validate_coloring(g, col)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        n, edges = data.draw(small_graphs())
+        lists = {v: data.draw(st.sets(st.integers(0, 3), max_size=2))
+                 for v in range(n)}
+        col = list_two_color(make_graph(n, edges), lists)
+        exists = any(all(a[u] != a[v] for u, v in edges)
+                     for a in itertools.product(*(sorted(lists[v]) for v in range(n))))
+        assert (col is not None) == exists
+        if col is not None:
+            assert all(col.colors[v] in lists[v] for v in range(n))
+            assert all(col.colors[u] != col.colors[v] for u, v in edges)
 
     def test_oversized_list_rejected(self):
         g = make_graph(1, [])
@@ -166,6 +230,39 @@ class TestWigderson:
         k5 = make_graph(5, [(i, j) for i, j in itertools.combinations(range(5), 2)])
         with pytest.raises(BudgetExceededError):
             wigderson_color(k5, exact_oracle(budget=1))
+
+
+def digest(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    """Digests of the outputs on criteria 9 and 10's graphs, recorded
+    before list 2-coloring became unit propagation."""
+
+    def test_wigderson_criterion_9(self):
+        items = []
+        for n, prob, reps in [(50, 0.15, 17), (100, 0.1, 17), (200, 0.06, 16)]:
+            for seed in range(reps):
+                g, classes = random_planted_graph(n, prob, seed)
+                col = wigderson_color(g, planted_oracle(classes))
+                items.append((sorted(col.colors.items()), col.palette))
+        assert digest(items) == "a534cf9c96e38019"
+
+    def test_generalized_criterion_10(self):
+        items = []
+        for eps in (0.25, 0.3, 0.4):
+            for i, n in enumerate([100, 150, 200, 250, 300, 350, 400, 450, 500, 120]):
+                g, classes = random_planted_graph(
+                    n, 0.03, seed=1000 * i + int(eps * 100))
+                col, trace = generalized_color(g, eps, planted_oracle(classes))
+                assert validate_coloring(g, col)
+                items.append((col.palette, [(t.level, t.case, t.m, t.x_size)
+                                            for t in trace]))
+        assert digest(items) == "4e3c42e1da10ce62"
 
 
 class TestGeneralized:

@@ -8,7 +8,6 @@ from pcsp.consistency import (
     Strategy,
     compute_strategy,
     format_strategy,
-    is_partial_hom,
     is_strategy,
     leq_k,
     parse_strategy,
@@ -32,6 +31,18 @@ def random_structure(data, n_max=4, carrier=None):
     ar = data.draw(st.integers(1, 2))
     tups = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * ar), max_size=6))
     return Structure(Signature((("R", ar),)), n, (("R", tuple(tups)),)), ar
+
+
+def is_partial_hom(h, instance, template):
+    """Every instance tuple inside dom(h) maps to a template tuple."""
+    dom = dict(h)
+    for sym, tups in instance.relations:
+        target = template.rel_set(sym)
+        for t in tups:
+            if all(x in dom for x in t):
+                if tuple(dom[x] for x in t) not in target:
+                    return False
+    return True
 
 
 def reference_is_strategy(family, instance, template, k):

@@ -1,6 +1,8 @@
-"""Every name that a ``pcsp`` module imports is used in that module."""
+"""Every name that a ``pcsp`` module imports is used in that module, and
+every function, class and method it defines is named somewhere else."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,48 @@ def test_the_scan_sees_an_unused_import():
               "from math import comb, gcd\n"
               "print(os.sep, comb)\n")
     assert unused_imports(source) == [(2, "system"), (3, "gcd")]
+
+
+ROOT = SRC.parent.parent
+
+
+def definitions(source):
+    """The top-level functions and classes of a module, and the methods of
+    its classes whose names do not start with ``__``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+    return names
+
+
+def unnamed(names, texts):
+    """The names that no text mentions as a whole word other than right
+    after ``def`` or ``class``."""
+    return [name for name in names
+            if not any(re.search(r"(?<!def )(?<!class )\b%s\b" % re.escape(name), text)
+                       for text in texts)]
+
+
+def test_every_definition_is_named_elsewhere():
+    texts = [p.read_text() for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    names = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in definitions(path.read_text())]
+    flagged = set(unnamed([name for _, name in names], texts))
+    assert [(m, name) for m, name in names if name in flagged] == []
+
+
+def test_the_scan_sees_an_unused_definition():
+    module = ("def used():\n    pass\n\n\n"
+              "def lonely():\n    pass\n\n\n"
+              "class Box:\n"
+              "    def __init__(self):\n        pass\n\n"
+              "    def shut(self):\n        pass\n\n"
+              "    def opened(self):\n        pass\n")
+    other = "used()\nBox().opened()\nlonely_too = 1\n"
+    assert definitions(module) == ["used", "lonely", "Box", "shut", "opened"]
+    assert unnamed(definitions(module), [module, other]) == ["lonely", "shut"]
