@@ -37,11 +37,11 @@ def make_graph(n: int, edges) -> Structure:
     return Structure(GRAPH_SIG, n, (("E", tuple(sorted(sym))),))
 
 
-def _induced(adj, vertices) -> Structure:
-    """The subgraph induced by ``vertices``; new vertex i is vertices[i]."""
+def _induced(adj, vertices) -> List[set]:
+    """The adjacency sets of the subgraph induced by ``vertices``; new
+    vertex i is vertices[i]."""
     pos = {v: i for i, v in enumerate(vertices)}
-    return make_graph(len(vertices), [(i, pos[w]) for i, v in enumerate(vertices)
-                                      for w in adj[v] if pos.get(w, -1) > i])
+    return [{pos[w] for w in adj[v] if w in pos} for v in vertices]
 
 
 def check_graph(g: Structure) -> None:
@@ -112,7 +112,10 @@ def exact_oracle(budget: int = 500_000):
 
     def answer(g, subset):
         subset = sorted(subset)
-        h = hom_search(_induced(adjacency(g), subset), K3, budget=budget)
+        sub = _induced(adjacency(g), subset)
+        h = hom_search(make_graph(len(subset), [(i, j) for i, nb in enumerate(sub)
+                                                for j in nb if i < j]),
+                       K3, budget=budget)
         if h is None:
             return None
         return dict(zip(subset, h))
@@ -148,8 +151,17 @@ def list_two_color(g: Structure, lists: Dict[int, set]) -> Optional[Coloring]:
     lists = [sorted(set(lists[v])) for v in range(g.n)]
     if any(len(l) > 2 for l in lists):
         raise ValueError("lists must have size <= 2")
-    adj = adjacency(g)
-    color = [-1] * g.n  # -1: uncolored
+    color = _list_two_color(adjacency(g), lists)
+    if color is None:
+        return None
+    return Coloring(dict(enumerate(color)), max(color, default=-1) + 1)
+
+
+def _list_two_color(adj, lists) -> Optional[List[int]]:
+    """``list_two_color`` on adjacency sets and sorted lists of size <= 2,
+    unchecked: the color of each vertex, or None."""
+    n = len(adj)
+    color = [-1] * n  # -1: uncolored
 
     def force(v, c):
         """Color v with c and propagate; on a conflict undo this call's
@@ -179,14 +191,14 @@ def list_two_color(g: Structure, lists: Dict[int, set]) -> Optional[Coloring]:
             color[u] = -1
         return False
 
-    for v in range(g.n):
+    for v in range(n):
         if len(lists[v]) < 2 and not (lists[v] and force(v, lists[v][0])):
             return None  # an empty list, or forced colors that clash
-    for v in range(g.n):
+    for v in range(n):
         if color[v] == -1 and not force(v, lists[v][0]) \
                 and not force(v, lists[v][1]):
             return None
-    return Coloring(dict(enumerate(color)), max(color, default=-1) + 1)
+    return color
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +232,9 @@ def wigderson_color(g: Structure, oracle=None) -> Coloring:
             break
         nb = sorted(adj[v] & alive)
         blob = set(nb) | {v}
-        twoc = two_color(_induced(adj, nb))
+        twoc = _list_two_color(_induced(adj, nb), [(0, 1)] * len(nb))
         if twoc is not None:
-            hv = {w: twoc.colors[i] + 1 for i, w in enumerate(nb)}
+            hv = {w: twoc[i] + 1 for i, w in enumerate(nb)}
             hv[v] = 0
         else:
             full = oracle(g, sorted(blob))
@@ -389,13 +401,12 @@ def _color_case_a(g, adj, s, h, nsub, oracle):
     """Extend the 3-coloring h of S to N(S) by list coloring, with an
     oracle fallback on the whole blob when h does not extend."""
     sset = set(s)
-    lists = {i: {0, 1, 2} - {h[u] for u in adj[v] & sset}
-             for i, v in enumerate(nsub)}
-    lc = list_two_color(_induced(adj, nsub), lists)
+    lists = [sorted({0, 1, 2} - {h[u] for u in adj[v] & sset}) for v in nsub]
+    lc = _list_two_color(_induced(adj, nsub), lists)
     if lc is not None:
         out = {v: h[v] for v in s}
         for i, v in enumerate(nsub):
-            out[v] = lc.colors[i]
+            out[v] = lc[i]
         return out
     full = oracle(g, sorted(sset | set(nsub)))
     if full is None:

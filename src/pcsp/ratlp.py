@@ -3,7 +3,19 @@
 Variables are symbolic keys and the data exact rationals (``int``s, kept as
 they are, or ``fractions.Fraction``s), so verdicts are exact and feasible
 points satisfy every constraint with zero tolerance.
-The method is phase-I simplex on the standard-form system, using a
+
+Zero propagation runs first: the zero-fixing step of Andersen & Andersen
+1995, "Presolving in linear programming".  It reads only rows whose
+variables all have lower bound 0 (and no negative upper bound).  A variable
+is live until it is forced to 0, and a rhs-0 row forces all its live
+variables to 0 when their coefficients have one sign (an = row), none is
+negative (a <= row) or none is positive (a >= row).  This runs to a fixed
+point.  A row left with no live variable whose rhs asks for a nonzero sum
+refutes the LP; the forcing rows in the order they fired, then that row,
+are the refutation, and ``check_refutation`` replays it in linear time.
+
+Otherwise the simplex decides the LP on the variables left live: phase I on
+the standard-form system, using a
 largest-coefficient pivot rule that falls back to Bland's rule after a run of
 degenerate pivots (guaranteeing termination).  Each standard-form row is
 integer from the start (the true row times the lcm of its denominators), and
@@ -82,18 +94,117 @@ def _exact(v):
 
 @dataclass(frozen=True)
 class Verdict:
+    """``point`` is the witness of a feasible verdict; ``refutation``, when
+    zero propagation refuted the LP, lists indices into ``lp.constraints``:
+    the forcing rows in the order they fired, then the emptied row."""
+
     feasible: bool
     point: Optional[Dict] = None
+    refutation: Optional[Tuple[int, ...]] = None
+
+
+def _nonneg(lp: RationalLP, keys):
+    """Those of ``keys`` with lower bound 0 and no negative upper bound."""
+    return {key for key in keys
+            if lp.lower.get(key) == 0 and lp.upper.get(key, 0) >= 0}
+
+
+def _forces(rel, pos, neg) -> bool:
+    """Whether a rhs-0 row whose live coefficients include a positive one
+    iff ``pos`` and a negative one iff ``neg`` forces them all to 0."""
+    return not (neg if rel == LEQ else pos if rel == GEQ else pos and neg)
+
+
+def _contradicts(rel, rhs) -> bool:
+    """Whether a row with no live variable (so its sum is 0) fails."""
+    return rhs < 0 if rel == LEQ else rhs > 0 if rel == GEQ else rhs != 0
+
+
+def _propagate(lp: RationalLP):
+    """Zero propagation to a fixed point: returns (zero, refutation), the
+    forced variables and either None or the refuting row indices.
+
+    Only rows over ``_nonneg`` variables take part.  ``pos[i]`` and
+    ``neg[i]`` count row i's live positive and negative coefficients, so
+    whether a row fires or contradicts is read in O(1), and a row fires at
+    most once: the whole pass is linear in the number of nonzeros.  Signs
+    are read from ``numerator``, which ints and Fractions both carry, as
+    comparing a Fraction with 0 costs several Python-level calls.
+    """
+    nonneg = _nonneg(lp, lp.lower)
+    cons = lp.constraints
+    rows_of = {}
+    pos = {}
+    neg = {}
+    for i, (coeffs, _, _) in enumerate(cons):
+        if nonneg.issuperset(coeffs):
+            p = 0
+            for key, c in coeffs.items():
+                rows_of.setdefault(key, []).append(i)
+                p += c.numerator > 0
+            pos[i] = p
+            neg[i] = len(coeffs) - p
+    zero = set()
+    fired = []
+    stack = [i for i in reversed(pos) if not pos[i] or not neg[i]]
+    while stack:
+        i = stack.pop()
+        coeffs, rel, rhs = cons[i]
+        p, n = pos[i], neg[i]
+        if not p and not n:
+            if _contradicts(rel, rhs):
+                return zero, tuple(fired) + (i,)
+            continue
+        if rhs or not _forces(rel, p, n):
+            continue
+        fired.append(i)
+        for key in coeffs:
+            if key in zero:
+                continue
+            zero.add(key)
+            for j in rows_of[key]:
+                if cons[j][0][key].numerator > 0:
+                    pos[j] -= 1
+                else:
+                    neg[j] -= 1
+                if not pos[j] or not neg[j]:
+                    stack.append(j)
+    return zero, None
+
+
+def check_refutation(lp: RationalLP, rows) -> bool:
+    """Replay a zero-propagation refutation without the simplex: every row
+    is over variables with lower bound 0 and no negative upper bound, every
+    row but the last has rhs 0 and live coefficients of the one sign its
+    relation allows, and the last has no live variable and a rhs that asks
+    for a nonzero sum.  Linear in the size of the rows named."""
+    rows = list(rows)
+    if not rows or not all(type(i) is int and 0 <= i < len(lp.constraints)
+                           for i in rows):
+        return False
+    nonneg = _nonneg(lp, {key for i in rows for key in lp.constraints[i][0]})
+    zero = set()
+    for i in rows[:-1]:
+        coeffs, rel, rhs = lp.constraints[i]
+        live = [c for key, c in coeffs.items() if key not in zero]
+        if rhs or not nonneg.issuperset(coeffs) or not _forces(
+                rel, any(c > 0 for c in live), any(c < 0 for c in live)):
+            return False
+        zero.update(coeffs)
+    coeffs, rel, rhs = lp.constraints[rows[-1]]
+    return zero.issuperset(coeffs) and _contradicts(rel, rhs)
 
 
 RHS = -1  # pseudo-column holding the right-hand side inside each integer row
 
 
-def _standard_form(lp: RationalLP):
+def _standard_form(lp: RationalLP, zero):
     """Rewrite to A z = b, z >= 0, b >= 0: each row an integer dict, b at
     RHS, equal to the true row times the lcm of its denominators (negated
-    when b < 0).  Returns (rows, ncols, slack_cols, recover), where
-    ``recover`` maps a standard z-vector back to original variable values.
+    when b < 0).  The variables in ``zero`` get no column, and a row whose
+    variables are all in ``zero`` is left out.  Returns (rows, ncols,
+    slack_cols, recover), where ``recover`` maps a standard z-vector back to
+    original variable values, 0 on ``zero``.
     """
     # column plan: each original variable becomes either (shifted by its
     # lower bound) one column, or (free) a pair of columns
@@ -103,6 +214,8 @@ def _standard_form(lp: RationalLP):
     ncols = 0
     extra_rows = []
     for key in lp.variables:
+        if key in zero:
+            continue
         lo = lp.lower.get(key)
         col_of[key] = ncols
         if lo is None:
@@ -116,6 +229,10 @@ def _standard_form(lp: RationalLP):
     rows = []
     slack_cols = []  # per row: (col, sign) of its slack, or None
     for coeffs, rel, b in list(lp.constraints) + extra_rows:
+        if zero:
+            coeffs = {key: c for key, c in coeffs.items() if key not in zero}
+            if not coeffs:
+                continue  # 0 satisfies it, or propagation had refuted it
         if shift:
             for key, c in coeffs.items():
                 if key in shift:
@@ -140,8 +257,8 @@ def _standard_form(lp: RationalLP):
             ncols += 1
         rows.append(row)
 
-    def recover(z):
-        return {key: z.get(col_of[key], Fraction(0)) + shift.get(key, 0)
+    def recover(z):  # a key in zero has no column, so it reads 0
+        return {key: z.get(col_of.get(key), Fraction(0)) + shift.get(key, 0)
                 - z.get(pair_neg.get(key), 0) for key in lp.variables}
 
     return rows, ncols, slack_cols, recover
@@ -253,8 +370,20 @@ def _eliminate(row, a, p, items, col_rows=None, i=None):
 
 
 def feasible(lp: RationalLP) -> Verdict:
-    """Exact feasibility verdict; a feasible verdict carries a witness point."""
-    rows, ncols, slack_cols, recover = _standard_form(lp)
+    """Exact feasibility verdict; a feasible verdict carries a witness point.
+
+    Zero propagation decides first: a refutation it finds is the verdict,
+    carried in ``refutation`` and replayed by ``check_refutation``, with no
+    simplex run.  Otherwise the simplex decides on the variables left live,
+    the forced ones are 0 in the point, and ``check_point`` checks the point
+    against the whole LP.
+    """
+    zero, refutation = _propagate(lp)
+    if refutation is not None:
+        if not check_refutation(lp, refutation):
+            raise InternalError("zero-propagation refutation fails its replay")
+        return Verdict(False, refutation=refutation)
+    rows, ncols, slack_cols, recover = _standard_form(lp, zero)
     z = _phase1(rows, ncols, slack_cols)
     if z is None:
         return Verdict(False)

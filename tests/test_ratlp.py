@@ -10,7 +10,7 @@ from lp_oracle import feasible_by_basis_enumeration
 from pcsp import ratlp
 from pcsp.core import Structure, exactly_template
 from pcsp.errors import PcspError
-from pcsp.ratlp import RationalLP, check_point, feasible
+from pcsp.ratlp import RationalLP, check_point, check_refutation, feasible
 from pcsp.sherali_adams import build_sa
 
 
@@ -328,3 +328,117 @@ def test_feasible_agrees_with_the_oracle(lp):
     assert got.feasible == feasible_by_basis_enumeration(lp).feasible
     if got.feasible:
         assert check_point(lp, got.point)
+
+
+@st.composite
+def zero_rhs_lps(draw):
+    """Small LPs on which zero propagation fires: variables in [0, u] (now
+    and then [-1, u], which keeps their rows out of it), rhs-0 rows whose
+    coefficients have one sign or mixed signs, and one row with rhs != 0."""
+    lp = RationalLP()
+    nv = draw(st.integers(1, 4))
+    for j in range(nv):
+        lp.add_variable(j, draw(st.sampled_from([0, 0, 0, 0, -1])),
+                        draw(st.integers(0, 3)))
+
+    def row():
+        sign = draw(st.sampled_from([1, -1, None]))  # None: mixed signs
+        return {j: draw(st.integers(1, 3)) * (
+                    sign or draw(st.sampled_from([1, -1])))
+                for j in range(nv) if draw(st.booleans())}
+
+    rows = [(row(), draw(st.sampled_from(["<=", "=", ">="])), 0)
+            for _ in range(draw(st.integers(0, 5)))]
+    rhs = F(draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1])),
+            draw(st.integers(1, 2)))
+    rows.insert(draw(st.integers(0, len(rows))),
+                (row(), draw(st.sampled_from(["<=", "=", ">="])), rhs))
+    for coeffs, rel, b in rows:
+        lp.add_constraint(coeffs, rel, b)
+    return lp
+
+
+@given(zero_rhs_lps())
+@settings(max_examples=150, deadline=None)
+def test_propagation_agrees_with_the_oracle(lp):
+    got = feasible(lp)
+    assert got.feasible == feasible_by_basis_enumeration(lp).feasible
+    if got.feasible:
+        assert got.refutation is None and check_point(lp, got.point)
+
+
+@given(zero_rhs_lps())
+@settings(max_examples=150, deadline=None)
+def test_every_refutation_replays(lp):
+    v = feasible(lp)
+    if v.refutation is None:
+        return
+    assert not v.feasible and check_refutation(lp, v.refutation)
+    *fired, last = v.refutation
+    # a derivation whose last row still has a live variable fails
+    forced = {key for i in fired for key in lp.constraints[i][0]}
+    for i, (coeffs, _, _) in enumerate(lp.constraints):
+        if any(key not in forced for key in coeffs):
+            assert not check_refutation(lp, tuple(fired) + (i,))
+    if lp.constraints[last][0]:
+        assert not check_refutation(lp, (last,))
+
+
+class TestRefutation:
+    def lp(self, lo=0):
+        # x + y = 0 forces x and y, z <= 0 forces z, and x + z = 1 is left
+        # with no live variable; with y >= -1, x = 1 and y = -1 is feasible
+        lp = RationalLP()
+        lp.add_variable("x", 0)
+        lp.add_variable("y", lo)
+        lp.add_variable("z", 0, 5)
+        lp.add_constraint({"x": 1, "y": 1}, "=", 0)
+        lp.add_constraint({"x": 1, "z": 1}, "=", 1)
+        lp.add_constraint({"z": 2}, "<=", 0)
+        return lp
+
+    def test_refutation_is_the_firing_order(self):
+        lp = self.lp()
+        v = feasible(lp)
+        assert not v.feasible and v.point is None
+        assert v.refutation == (0, 2, 1)
+        assert check_refutation(lp, v.refutation)
+
+    @pytest.mark.parametrize("rows", [
+        (), (0, 2), (2, 1), (0, 2, 1, 0), (0, 2, 3), (0, -1, 1), (1, 0, 2, 1),
+    ])
+    def test_bad_derivations_fail_the_replay(self, rows):
+        # no contradiction; a live variable left; an index out of range; a
+        # forcing row with rhs != 0
+        assert not check_refutation(self.lp(), rows)
+
+    def test_a_variable_that_may_be_negative_forces_nothing(self):
+        lp = self.lp(lo=-1)
+        v = feasible(lp)
+        assert v.feasible and v.refutation is None
+        assert not check_refutation(lp, (0, 2, 1))
+
+    def test_a_refutation_that_fails_its_replay_raises(self, monkeypatch):
+        monkeypatch.setattr(ratlp, "check_refutation", lambda lp, rows: False)
+        with pytest.raises(PcspError, match="internal error"):
+            feasible(self.lp())
+
+
+FANO = ((0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1),
+        (6, 0, 2))
+
+
+@pytest.mark.parametrize("n, triples", [
+    (7, FANO),
+    # every triple of four variables: criterion 5's SA-2 infeasible kind
+    (4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+])
+def test_sa2_refuted_without_the_simplex(monkeypatch, n, triples):
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(ratlp, "_phase1", no_simplex)
+    e13 = exactly_template(1, 3)
+    lp = build_sa(Structure(e13.signature, n, (("R", triples),)), e13, 2)
+    v = feasible(lp)
+    assert not v.feasible and check_refutation(lp, v.refutation)
