@@ -9,10 +9,12 @@ rounded up to a working-precision mpf, so "bound holds" verdicts are
 conservative.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import ceil, comb, log, log1p
 from typing import Dict, Optional, Tuple
 
 from mpmath import iv, mpf
@@ -98,8 +100,6 @@ def chernoff_bound(m: int, gamma, t):
 
 def binomial_tail(m: int, gamma: Fraction, t: Fraction) -> Fraction:
     """Exact P[Bin(m, gamma) >= ceil(t*m)], for cross-checking the bound."""
-    from math import ceil, comb
-
     lo = ceil(t * m)
     total = Fraction(0)
     for i in range(lo, m + 1):
@@ -115,8 +115,52 @@ def hypergraph_signature(r: int) -> Signature:
     return Signature((("R", r),))
 
 
+def _subsets_at(n: int, r: int, ranks):
+    """The subsets at the given positions (ranks) of combinations(range(n), r).
+
+    Works on `after`, the number of subsets that come after the wanted one.
+    Its element at position j is the last x with C(n - x, r - j) > after,
+    found by one bisect over the increasing table of -C(n - x, r - j) for
+    x = 0..n; the C(n - x - 1, r - j) subsets that start later are then
+    taken off `after`.  O(r*n) for the tables, O(r log n) a subset.
+    """
+    tables = [[-comb(n - x, r - j) for x in range(n + 1)] for j in range(r)]
+    last = comb(n, r) - 1
+    for rank in ranks:
+        after = last - rank
+        subset = []
+        for table in tables:
+            x = bisect_right(table, -after - 1) - 1
+            subset.append(x)
+            after += table[x + 1]
+        yield tuple(subset)
+
+
+def _geometric_ranks(total: int, p: float, rng):
+    """The ranks below total that independent p-coins (0 < p < 1) keep.
+
+    Each step jumps over a geometric number of dropped ranks, drawn from
+    one uniform; a skip is compared with the ranks left before it becomes
+    an int, as it overflows to infinity when p is subnormal.
+    """
+    rank = -1
+    while True:
+        skip = log(1.0 - rng.random()) / log1p(-p)
+        if skip >= total - 1 - rank:
+            return
+        rank += 1 + int(skip)
+        yield rank
+
+
 def sample_hypergraph(n: int, r: int, d, seed: int) -> Structure:
-    """Each r-subset becomes a tuple (ascending order) with probability d/n^(r-1)."""
+    """Each r-subset becomes a tuple (ascending order) with probability d/n^(r-1).
+
+    Geometric skip sampling over the lexicographic ranking of the r-subsets
+    (Batagelj & Brandes 2005, "Efficient generation of large random
+    networks"): one uniform per kept subset gives the gap to the next kept
+    rank, and `_subsets_at` maps the ranks to tuples in combinations order.
+    The cost is O(r*n + m*r*log n) for m kept tuples, not Theta(n^r).
+    """
     if r < 2:
         raise ValueError("need r >= 2")
     sig = hypergraph_signature(r)
@@ -130,7 +174,12 @@ def sample_hypergraph(n: int, r: int, d, seed: int) -> Structure:
         raise ValueError("edge probability %s outside [0, 1]" % prob)
     rng = derive_rng(seed, "hypergraph", n, r)
     p = float(prob)
-    tups = tuple(c for c in combinations(range(n), r) if rng.random() < p)
+    if p >= 1:
+        tups = tuple(combinations(range(n), r))
+    elif p == 0:
+        tups = ()
+    else:
+        tups = tuple(_subsets_at(n, r, _geometric_ranks(comb(n, r), p, rng)))
     return Structure(sig, n, (("R", tups),), "sample")
 
 

@@ -31,6 +31,8 @@ from pcsp.random_instances import (
     is_alpha_beta_sparse,
     is_boundary_set,
     SparsityVerdict,
+    _geometric_ranks,
+    _subsets_at,
     _upper,
     p1,
     p2,
@@ -146,6 +148,59 @@ class TestSampling:
         mean = trials * per_seed * prob
         sigma = math.sqrt(trials * per_seed * prob * (1 - prob))
         assert abs(total - mean) <= 3 * sigma
+
+    def test_subsets_at_every_rank_is_the_combinations_order(self):
+        for n in range(1, 10):
+            for r in range(1, n + 1):
+                assert list(_subsets_at(n, r, range(math.comb(n, r)))) == \
+                    list(combinations(range(n), r)), (n, r)
+
+    def test_geometric_ranks_stop_at_the_last_rank(self):
+        class ZeroUniform:
+            def random(self):
+                return 0.0
+
+        # a uniform of 0 skips nothing: every rank is kept, and none past the last
+        assert list(_geometric_ranks(5, 0.5, ZeroUniform())) == [0, 1, 2, 3, 4]
+
+    def test_subnormal_probability_keeps_nothing(self):
+        # p is a nonzero subnormal float, so every skip overflows to infinity
+        assert sample_hypergraph(10, 2, Fraction(1, 10 ** 320), 0).rel("R") == ()
+
+    def test_zero_density_keeps_nothing(self):
+        assert sample_hypergraph(10, 3, 0, 4).rel("R") == ()
+
+    def test_probability_one_keeps_every_subset_in_order(self):
+        s = sample_hypergraph(7, 3, 49, 2)
+        assert s.rel("R") == tuple(combinations(range(7), 3))
+
+    def test_n_equal_to_r(self):
+        assert sample_hypergraph(4, 4, 64, 0).rel("R") == ((0, 1, 2, 3),)
+        assert sample_hypergraph(4, 4, 0, 0).rel("R") == ()
+        kept = [len(sample_hypergraph(4, 4, 32, s).rel("R")) for s in range(400)]
+        assert set(kept) == {0, 1}
+        assert abs(sum(kept) - 200) <= 5 * 10  # sigma = sqrt(400/4)
+
+    def test_every_subset_kept_at_its_probability(self):
+        # an off-by-one skip shows first at rank 0 or rank C(n, r) - 1
+        n, r, d, trials = 8, 3, 6, 3000
+        prob = d / n ** (r - 1)
+        hits = dict.fromkeys(combinations(range(n), r), 0)
+        for s in range(trials):
+            for t in sample_hypergraph(n, r, d, s).rel("R"):
+                hits[t] += 1
+        sigma = math.sqrt(trials * prob * (1 - prob))
+        assert max(abs(h - trials * prob) for h in hits.values()) <= 5 * sigma
+
+    def test_paper_scale_sample(self):
+        # the scan over all r-subsets would visit C(10^5, 3) = 1.7e14 of them
+        n, r, d = 10 ** 5, 3, 2
+        tups = sample_hypergraph(n, r, d, 0).rel("R")
+        assert all(0 <= a < b < c < n for a, b, c in tups)
+        assert all(s < t for s, t in zip(tups, tups[1:]))
+        total, prob = math.comb(n, r), Fraction(d, n ** (r - 1))
+        sigma = math.sqrt(total * prob * (1 - prob))
+        assert abs(len(tups) - total * prob) <= 6 * sigma
 
 
 class TestSparsity:
