@@ -321,8 +321,7 @@ def _exhaustive_s(adj, pool, size, threshold):
 
 
 def generalized_color(g: Structure, eps: float, oracle,
-                      C: float = DEFAULT_C, n0: int = DEFAULT_N0,
-                      exhaustive_limit: int = EXHAUSTIVE_LIMIT):
+                      C: float = DEFAULT_C, n0: int = DEFAULT_N0):
     """Recursive coloring with a fresh 3-color block per level.
 
     At each level with current vertex set Y (|Y| = m): if m is at most
@@ -363,7 +362,7 @@ def generalized_color(g: Structure, eps: float, oracle,
             break
         size = min(k - 3, m)
         found = _greedy_s(adj, pool, size, target)
-        if found is None and m <= exhaustive_limit:
+        if found is None and m <= EXHAUSTIVE_LIMIT:
             found = _exhaustive_s(adj, pool, size, target)
         if found is not None:
             s, blob = found
@@ -387,7 +386,7 @@ def generalized_color(g: Structure, eps: float, oracle,
         x_size = len(removed)
         trace.append(LevelTrace(level, case, m, x_size,
                                 (block, block + 1, block + 2)))
-        if case == "b" and x_size < min(m, target) and m > exhaustive_limit:
+        if case == "b" and x_size < min(m, target) and m > EXHAUSTIVE_LIMIT:
             raise ColoringAborted(
                 "removed %d of required %d at level %d"
                 % (x_size, math.ceil(min(m, target)), level), trace)

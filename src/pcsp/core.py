@@ -454,7 +454,7 @@ def format_structure(struct: Structure) -> str:
     for sym, ar in struct.signature.symbols:
         lines.append("relation %s %d" % (sym, ar))
         for t in struct.rel(sym):
-            lines.append(" ".join(str(x) for x in t))
+            lines.append(" ".join(str(x) for x in t) or "()")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -503,11 +503,17 @@ def parse_structure(text: str) -> Structure:
                 raise StructureParseError("tuple outside a relation block", lineno)
             if n is None:
                 raise StructureParseError("tuple before 'domain'", lineno)
+            ar = dict(symbols)[current]
+            if line == "()":
+                if ar:
+                    raise StructureParseError(
+                        "'()' in relation of arity %d" % ar, lineno)
+                rels[current].append(())
+                continue
             try:
                 t = tuple(int(x) for x in parts)
             except ValueError:
                 raise StructureParseError("malformed tuple %r" % line, lineno)
-            ar = dict(symbols)[current]
             if len(t) != ar:
                 raise StructureParseError(
                     "tuple of length %d in relation of arity %d" % (len(t), ar), lineno)

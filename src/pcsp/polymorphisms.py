@@ -10,6 +10,7 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (
+    DEFAULT_POWER_LIMIT,
     Structure,
     decode_power,
     encode_power,
@@ -17,9 +18,7 @@ from .core import (
     hom_search,
     power,
 )
-from .errors import BudgetExceededError, InternalError
-
-DEFAULT_TABLE_BUDGET = 1_000_000
+from .errors import InternalError
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,8 @@ def is_polymorphism(f: OperationTable, left: Structure, right: Structure) -> boo
 
 
 def enumerate_polymorphisms(left: Structure, right: Structure, m: int,
-                            budget: int = DEFAULT_TABLE_BUDGET) -> Iterator[OperationTable]:
+                            budget: int = DEFAULT_POWER_LIMIT) -> Iterator[OperationTable]:
     """All m-ary polymorphisms, in lexicographic table order."""
-    if left.n ** m > budget:
-        raise BudgetExceededError("power domain %d^%d exceeds budget" % (left.n, m))
     pw = power(left, m, size_limit=budget)
     for h in enumerate_homomorphisms(pw, right):
         yield OperationTable(m, left.n, right.n, h)
@@ -113,39 +110,27 @@ def is_wnu(f: OperationTable) -> bool:
 
 
 def _wnu_classes(n: int, m: int):
-    """Cell groups of an m-ary table on [n] tied by the WNU identities."""
-    parent = list(range(n ** m))
+    """Cell groups of an m-ary table on [n] tied by the WNU identities, in
+    order of their smallest cell.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def tie(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    The pair (x, y) ties the m cells with one y among x's.  Two pairs tie
+    disjoint cells or, for m = 2 and the pairs (x, y) and (y, x), the same
+    two, so each tied cell maps to the smallest cell of its one tie set."""
+    low = {}
     for x in range(n):
         for y in range(n):
-            if x == y:
-                continue
-            codes = []
-            for i in range(m):
-                args = [x] * m
-                args[i] = y
-                codes.append(encode_power(n, args))
-            for c in codes[1:]:
-                tie(codes[0], c)
+            if x != y:
+                tied = [encode_power(n, [y if j == i else x for j in range(m)])
+                        for i in range(m)]
+                low.update(dict.fromkeys(tied, min(tied)))
     groups = {}
     for cell in range(n ** m):
-        groups.setdefault(find(cell), []).append(cell)
+        groups.setdefault(low.get(cell, cell), []).append(cell)
     return list(groups.values())
 
 
 def has_wnu(left: Structure, right: Structure, m: int,
-            budget: int = DEFAULT_TABLE_BUDGET) -> Optional[OperationTable]:
+            budget: int = DEFAULT_POWER_LIMIT) -> Optional[OperationTable]:
     """A WNU m-ary polymorphism witness, or None.
 
     Cells tied by the WNU identities are merged into one decision variable:
@@ -153,8 +138,6 @@ def has_wnu(left: Structure, right: Structure, m: int,
     """
     if m < 2:
         raise ValueError("WNU arity must be >= 2")
-    if left.n ** m > budget:
-        raise BudgetExceededError("power domain %d^%d exceeds budget" % (left.n, m))
     pw = power(left, m, size_limit=budget)
     classes = _wnu_classes(left.n, m)
     class_of = {}

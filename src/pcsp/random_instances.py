@@ -35,6 +35,7 @@ GENERAL = "general"
 DIGRAPH = "digraph"
 
 EXACT_SPARSITY_LIMIT = 16
+EXACT_DISJOINT_LIMIT = 20
 
 
 def _ivnum(x):
@@ -200,8 +201,7 @@ def _tuple_count_within(struct: Structure, subset) -> int:
     return count
 
 
-def is_alpha_beta_sparse(struct: Structure, alpha, beta,
-                         exact_limit: int = EXACT_SPARSITY_LIMIT) -> SparsityVerdict:
+def is_alpha_beta_sparse(struct: Structure, alpha, beta) -> SparsityVerdict:
     """Every v-element substructure with v <= alpha*n has < beta*v tuples.
 
     Exact subset enumeration when the domain is small; otherwise a peeling
@@ -214,7 +214,7 @@ def is_alpha_beta_sparse(struct: Structure, alpha, beta,
         raise ValueError("alpha and beta must be positive")
     n = struct.n
     vmax = min(n, int(alpha * n))
-    if n <= exact_limit:
+    if n <= EXACT_SPARSITY_LIMIT:
         for v in range(1, vmax + 1):
             for subset in combinations(range(n), v):
                 if _tuple_count_within(struct, subset) >= beta * v:
@@ -410,9 +410,9 @@ def _boundary_candidates(struct: Structure, r: int):
     return out
 
 
-def _max_disjoint(candidates, exact_limit: int = 20):
+def _max_disjoint(candidates):
     """Largest pairwise-disjoint subfamily; exact below the limit, else greedy."""
-    if len(candidates) <= exact_limit:
+    if len(candidates) <= EXACT_DISJOINT_LIMIT:
         best = []
 
         def rec(i, chosen, used):

@@ -11,10 +11,11 @@ nonnegativity give x_g <= x_f for every one-element extension g of f, so
 x_f <= 1 follows by induction on |f|.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from typing import Dict
 
-from .consistency import Strategy, partial_homs, partial_map
+from .consistency import Strategy, _value_lists, partial_map
 from .core import Structure
 from .ratlp import EQ, RationalLP, Verdict, feasible
 
@@ -29,87 +30,76 @@ def lam_key(f, sym, u, t):
     return ("lam", f, sym, u, t)
 
 
-def _consistent_templates(f_dict, u, template_tuples):
-    """Template tuples usable as the image of scope u under extension of f.
-
-    A tuple t qualifies if it agrees with f on positions whose element is
-    already assigned, and is constant on positions holding the same element.
-    """
-    ok = []
-    for t in template_tuples:
-        seen = {}
-        good = True
-        for i, e in enumerate(u):
-            if e in f_dict and t[i] != f_dict[e]:
-                good = False
-                break
-            if e in seen and t[i] != seen[e]:
-                good = False
-                break
-            seen[e] = t[i]
-        if good:
-            ok.append(t)
-    return ok
-
-
 def build_sa(instance: Structure, template: Structure, k: int,
              budget: int = DEFAULT_VAR_BUDGET) -> RationalLP:
-    """The level-k relaxation as an exact rational LP."""
+    """The level-k relaxation as an exact rational LP.
+
+    Reads the enumerator's value lists: ``xs[D][v]`` is the x variable of
+    the partial homomorphism v on domain D, so the one-element extension of
+    v by value a at a new element e (inserted at position j of D) is one
+    lookup in ``xs[D + e]``.  An instance without a partial homomorphism has
+    no x_empty, and its normalization row reads 0 = 1.
+    """
     if k < 1:
         raise ValueError("level must be >= 1")
     if instance.signature != template.signature:
         raise ValueError("common signature required")
-    homs = partial_homs(instance, template, k, budget)
-    hom_set = set(homs)
-
-    lp = RationalLP()
-    for f in homs:
-        lp.add_variable(x_key(f), 0)
-
-    # normalization
-    lp.add_constraint({x_key(()): 1}, EQ, 1)
-
     kk = min(k, instance.n)
-    small = [f for f in homs if len(f) < kk]
+    lp = RationalLP()
+    xs = {}
+    for dom, values in _value_lists(instance, template, kk, budget):
+        xs[dom] = {v: x_key(tuple(zip(dom, v))) for v in values}
+        for key in xs[dom].values():
+            lp.add_variable(key, 0)
+    lp.add_constraint({key: 1 for key in xs[()].values()}, EQ, 1)
+    small = [(dom, row) for dom, row in xs.items() if len(dom) < kk]
+    tvals = range(template.n)
+
+    def ext(dom, e):
+        """(j, xs[D + e]) with j the position of e in D + e."""
+        j = bisect(dom, e)
+        return j, xs.get(dom[:j] + (e,) + dom[j:], {})
 
     # marginalization: summing the extensions of f by one element gives x_f
-    for f in small:
-        dom = set(e for e, _ in f)
-        for u in range(instance.n):
-            if u in dom:
-                continue
-            coeffs = {x_key(f): Fraction(-1)}
-            for a in range(template.n):
-                g = partial_map(f + ((u, a),))
-                if g in hom_set:
-                    coeffs[x_key(g)] = coeffs.get(x_key(g), Fraction(0)) + 1
-            lp.add_constraint(coeffs, EQ, 0)
+    for dom, row in small:
+        exts = [ext(dom, u) for u in range(instance.n) if u not in dom]
+        for v, key in row.items():
+            for j, up in exts:
+                coeffs = {key: -1}
+                for a in tvals:
+                    g = up.get(v[:j] + (a,) + v[j:])
+                    if g:
+                        coeffs[g] = 1
+                lp.add_constraint(coeffs, EQ, 0)
 
     # scope constraints: the image of each constraint tuple, conditioned on
-    # f, is a convex combination of template tuples weighted x_f
-    for f in small:
-        f_dict = dict(f)
-        for sym, tups in instance.relations:
-            ttuples = template.rel(sym)
-            for u in tups:
-                usable = _consistent_templates(f_dict, u, ttuples)
-                for t in usable:
-                    lp.add_variable(lam_key(f, sym, u, t), 0)
-                coeffs = {x_key(f): Fraction(-1)}
-                for t in usable:
-                    coeffs[lam_key(f, sym, u, t)] = Fraction(1)
-                lp.add_constraint(coeffs, EQ, 0)
-                for i, e in enumerate(u):
-                    if e in f_dict:
-                        continue  # forced: lambda support already agrees with f
-                    for a in range(template.n):
-                        g = partial_map(f + ((e, a),))
+    # f, is a convex combination of template tuples weighted x_f; a tuple
+    # is usable if it repeats where the scope repeats and agrees with f
+    scopes = [(sym, u, [t for t in template.rel(sym)
+                        if all(t[i] == t[u.index(e)] for i, e in enumerate(u))])
+              for sym, tups in instance.relations for u in tups]
+    for dom, row in small:
+        pos = {e: j for j, e in enumerate(dom)}
+        plans = [(sym, u, ts, [(i, pos[e]) for i, e in enumerate(u) if e in pos],
+                  [(i,) + ext(dom, e) for i, e in enumerate(u) if e not in pos])
+                 for sym, u, ts in scopes]
+        for v, key in row.items():
+            f = key[1]
+            for sym, u, ts, fixed, free in plans:
+                usable = [t for t in ts if all(t[i] == v[j] for i, j in fixed)]
+                lams = [lam_key(f, sym, u, t) for t in usable]
+                for lam in lams:
+                    lp.add_variable(lam, 0)
+                lp.add_constraint({key: -1, **dict.fromkeys(lams, 1)}, EQ, 0)
+                for i, j, up in free:
+                    for a in tvals:
                         coeffs = {}
-                        if g in hom_set:
-                            coeffs[x_key(g)] = Fraction(-1)
-                        for t in usable:
+                        g = up.get(v[:j] + (a,) + v[j:])
+                        if g:
+                            coeffs[g] = -1
+                        for t, lam in zip(usable, lams):
                             if t[i] == a:
-                                coeffs[lam_key(f, sym, u, t)] = Fraction(1)
+                                coeffs[lam] = 1
                         if coeffs:
                             lp.add_constraint(coeffs, EQ, 0)
     return lp

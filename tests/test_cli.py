@@ -6,6 +6,8 @@ from pcsp import cli, ratlp
 from pcsp import random_instances as ri
 from pcsp.consistency import parse_strategy
 from pcsp.core import (
+    Signature,
+    Structure,
     complete_graph,
     cycle,
     exactly_template,
@@ -107,6 +109,26 @@ class TestSa:
                          "--template", files["k2"], "--level", "2"]) == 4
         err = capsys.readouterr().err
         assert err == "internal error: simplex point fails a constraint\n"
+
+
+class TestNullaryRelation:
+    """An instance holding the nullary tuple, against a template whose
+    nullary relation is empty, read back from files."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (["sa", "--level", "2"], "sa_2: infeasible\n"),
+        (["consistency", "--k", "2"], "leq_2: false (0 maps)\n"),
+    ], ids=["sa", "consistency"])
+    def test_rejected(self, tmp_path, capsys, argv, out):
+        sig = Signature((("Z", 0), ("E", 2)))
+        paths = []
+        for name, s in [("inst", Structure(sig, 3, (("Z", ((),)), ("E", ((0, 1),))))),
+                        ("tmpl", Structure(sig, 2, (("Z", ()), ("E", ((0, 1), (1, 0))))))]:
+            paths.append(str(tmp_path / (name + ".struct")))
+            save_structure(s, paths[-1])
+            assert load_structure(paths[-1]) == s
+        assert cli.main(argv + ["--instance", paths[0], "--template", paths[1]]) == 1
+        assert capsys.readouterr().out == out
 
 
 class TestInternalErrors:

@@ -24,6 +24,8 @@ from pcsp.core import (
     nae_template,
 )
 from pcsp.errors import BudgetExceededError
+from pcsp.ratlp import check_refutation
+from pcsp.sherali_adams import build_sa, solve_sa
 
 
 def random_structure(data, n_max=4, carrier=None):
@@ -107,6 +109,19 @@ class TestComputeStrategy:
         inst = Structure(sig, n, (("Z", ((),)), ("E", ())))
         tmpl = Structure(sig, 2, (("Z", ()), ("E", ((0, 1), (1, 0)))))
         assert compute_strategy(inst, tmpl, 2) is None
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unsatisfied_nullary_relation_is_sa_infeasible(self, n, k):
+        # no partial homomorphism, so no x_empty: the normalization row
+        # reads 0 = 1 and zero propagation refutes it alone
+        sig = Signature((("Z", 0), ("E", 2)))
+        inst = Structure(sig, n, (("Z", ((),)), ("E", ())))
+        tmpl = Structure(sig, 2, (("Z", ()), ("E", ((0, 1), (1, 0)))))
+        lp = build_sa(inst, tmpl, k)
+        v = solve_sa(inst, tmpl, k)
+        assert not v.feasible and v.refutation == (0,)
+        assert check_refutation(lp, v.refutation)
 
     def test_empty_instance_with_satisfied_nullary_relation(self):
         sig = Signature((("Z", 0),))

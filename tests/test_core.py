@@ -332,8 +332,24 @@ class TestHomSearch:
 
 class TestTextFormat:
     def test_roundtrip(self):
-        for s in [cycle(5), complete_graph(4), exactly_template(2, 4)]:
+        sig = Signature((("Z", 0), ("E", 2)))
+        for s in [cycle(5), complete_graph(4), exactly_template(2, 4),
+                  Structure(sig, 2, (("Z", ((),)), ("E", ((0, 1),)))),
+                  Structure(sig, 2, (("Z", ()), ("E", ((0, 1),))))]:
             assert parse_structure(format_structure(s)) == s
+
+    def test_nullary_tuple_line(self):
+        s = Structure(Signature((("Z", 0),)), 0, (("Z", ((),)),), "z")
+        assert format_structure(s) == "structure z\ndomain 0\nrelation Z 0\n()\nend\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("structure x\ndomain 2\nrelation E 2\n0 1\n()\nend\n", 5),
+        ("structure x\ndomain 2\n()\nrelation Z 0\nend\n", 3),
+    ])
+    def test_nullary_tuple_outside_a_nullary_relation(self, text, line):
+        with pytest.raises(StructureParseError) as err:
+            parse_structure(text)
+        assert err.value.line == line
 
     def test_comments_and_blanks(self):
         text = """

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from pcsp.core import (
     Structure,
     complete_graph,
     cycle,
+    exactly_template,
     hom_search,
 )
 from pcsp.errors import BudgetExceededError
@@ -170,3 +172,59 @@ class TestCertificate:
             name, val = line.split(" = ")
             F(val)  # parses as an exact rational
         assert "x[]" in text
+
+
+E13 = exactly_template(1, 3)
+FANO = Structure(E13.signature, 7, (("R", (
+    (0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2))),))
+TRIPLES = Structure(E13.signature, 6, (("R", (
+    (0, 1, 2), (1, 3, 4), (2, 4, 5), (0, 3, 5))),))
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def rows_in_order(lp):
+    """The rows with each row's coefficients in insertion order, which
+    ``dump`` sorts away but the pivot path depends on."""
+    return "\n".join(" ".join("%s*%s" % (c, key) for key, c in coeffs.items())
+                     + " %s %s" % (rel, rhs) for coeffs, rel, rhs in lp.constraints)
+
+
+class TestPinnedLP:
+    """The LP, its point and its refutation, byte for byte: a change to
+    ``build_sa`` that reorders variables, rows or coefficients shows here."""
+
+    @pytest.mark.parametrize("inst, tmpl, k, dump, rows, cert", [
+        (cycle(4), complete_graph(2), 2,
+         "b405c2bc4c6fe2a8e5be210fbcea0e305e8d1ba1db808278ccb70cdcdc7a5457",
+         "a24650d189efd3c17728d0870df480e12013952190cb92bdeb8fe6c03f9f625d",
+         "a8d4dd3319387f665ef59c5d72694b1460a438b3b5c7cb460dfc37c75752bd96"),
+        (cycle(6), complete_graph(2), 2,
+         "d9d15bbe02e9e473c2bcc90ce8644c799e0ed558e270c368760720cdbfe8befa",
+         "f882559bfb26b134f6e0f02ede491fa705383e0ee22def854ba997aa7db9b88e",
+         "a813c5d2304ee10718beb04679be377624836539fd96b18ac04d459bb18adbaf"),
+        (cycle(4), complete_graph(3), 2,
+         "1c95fe6a209271df3b483afcffe6fb1d24b4aa65a42ab85a3ccf9004b305a76e",
+         "098466ec81ffe73017e82886c5cebf0f751aaa687846167a56c629390609166a",
+         "6f68e2a385df085f1e8d9f397728827b3652481febf8c623f7c9e2ccbfa8e914"),
+        (TRIPLES, E13, 3,
+         "d5dc8bb2dc5c8ecf5a8d65621f7a8bc6bd069a5d0b9256149ef9f5e74288737f",
+         "57c8f0feb3abe09c0bc94ece0ad97662e2c16be0e272a91d8ebc102d2564c021",
+         "3a3c35de8b523f8fdc6f444e557be67cd2c8420dcea9876637520a5072b56f80"),
+    ])
+    def test_feasible(self, inst, tmpl, k, dump, rows, cert):
+        lp = build_sa(inst, tmpl, k)
+        assert (sha(lp.dump()), sha(rows_in_order(lp))) == (dump, rows)
+        assert sha(format_certificate(solve_sa(inst, tmpl, k).point)) == cert
+
+    def test_fano_refutation(self):
+        lp = build_sa(FANO, E13, 2)
+        assert (sha(lp.dump()), sha(rows_in_order(lp))) == (
+            "249c8fdbfa5f20443d72814a6c3bbdb9bcfb3f25307f1f9032c35f3f4f8e390a",
+            "e67ceb1117dd2f3712e51c5e5df7821b4bb2173d6abf00fe0aa0abe37128d9c0")
+        refutation = solve_sa(FANO, E13, 2).refutation
+        assert len(refutation) == 297 and refutation[:5] == (186, 310, 300, 221, 191)
+        assert sha(repr(refutation)) == \
+            "667731cfa6c6d4264eb4bd913322ec7ea99ae29da50b516dea8f67cd7b98643d"
