@@ -7,7 +7,6 @@ random hard instances, and width-based approximate graph coloring.
 
 from .core import (
     Signature,
-    Relation,
     Structure,
     complete_graph,
     cycle,
@@ -26,7 +25,6 @@ from .errors import (
 
 __all__ = [
     "Signature",
-    "Relation",
     "Structure",
     "complete_graph",
     "cycle",

@@ -176,10 +176,9 @@ def cmd_color(args):
     if args.mode == "wigderson":
         out = col.wigderson_color(g, oracle)
     elif args.mode == "general":
-        out, trace = col.generalized_color(g, args.epsilon, oracle,
-                                           C=args.C, n0=args.n0)
+        out, trace = col.generalized_color(g, float(args.epsilon), oracle)
     else:
-        out = col.partition_baseline(g, args.epsilon, oracle)
+        out = col.partition_baseline(g, float(args.epsilon), oracle)
     if not col.validate_coloring(g, out):
         raise InternalError("%s coloring is not proper" % args.mode)
     lines = ["%d %d" % (v, out.colors[v]) for v in sorted(out.colors)]
@@ -286,9 +285,7 @@ def build_parser():
     g.add_argument("--graph", required=True)
     g.add_argument("--mode", choices=["wigderson", "general", "baseline"],
                    required=True)
-    g.add_argument("--epsilon", type=float, default=0.3)
-    g.add_argument("--C", type=float, default=col.DEFAULT_C)
-    g.add_argument("--n0", type=int, default=col.DEFAULT_N0)
+    g.add_argument("--epsilon", type=_rational, default=Fraction(3, 10))
     g.add_argument("--planted")
     g.add_argument("--out", required=True)
     g.add_argument("--trace")

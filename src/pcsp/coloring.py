@@ -4,8 +4,9 @@ Wigderson-style coloring with at most 3*ceil(sqrt(n)) colors, list
 2-coloring by unit propagation (2-coloring is its all-{0, 1} case), the
 recursive case-(a)/(b) coloring scheme with palette governed by the
 recurrence Q(m) = 3 + Q(m - ceil(C m^(1-eps))), and a block-partition
-baseline.  The 3-coloring subproblems are delegated to an oracle: either
-a planted hidden coloring or exact backtracking search.
+baseline.  The recursion runs with the constants C = 2 and n0 = 32.  The
+3-coloring subproblems are delegated to an oracle: either a planted
+hidden coloring or exact backtracking search.
 """
 
 import math
@@ -17,9 +18,8 @@ from .core import GRAPH_SIG, Structure, complete_graph, hom_search
 from .errors import PcspError, PromiseViolationError
 from .seeds import derive_rng
 
-DEFAULT_C = 2
-DEFAULT_N0 = 32
-EXHAUSTIVE_LIMIT = 14
+C = 2  # the constant of the target size C*m^(1-eps)
+N0 = 32  # the least S size bound k
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +312,27 @@ def _greedy_s(adj, pool, size, threshold):
     return None
 
 
-def _exhaustive_s(adj, pool, size, threshold):
-    for s in combinations(sorted(pool), size):
-        blob = _blob(adj, pool, s)
-        if len(blob) > threshold:
-            return list(s), blob
-    return None
-
-
-def generalized_color(g: Structure, eps: float, oracle,
-                      C: float = DEFAULT_C, n0: int = DEFAULT_N0):
+def generalized_color(g: Structure, eps: float, oracle):
     """Recursive coloring with a fresh 3-color block per level.
 
-    At each level with current vertex set Y (|Y| = m): if m is at most
-    C*m^(1-eps) the whole of Y is 3-colored directly.  Otherwise case (a)
-    looks for S of size k-3 whose closed neighborhood exceeds C*m^(1-eps);
-    S is 3-colored and extended to N(S) through list 2-coloring.  When no
-    such S exists (case (b)), a maximal disjoint family of blobs is built
-    greedily and all the S parts are colored with one shared block, which
-    is proper because distinct blobs admit no crossing edges to each
+    Let k = max(3 + ceil(C^2 n^(1-2 eps)), N0).  At each level with current
+    vertex set Y (|Y| = m): if m is at most k or C*m^(1-eps), the whole of Y
+    is 3-colored directly.  Otherwise case (a) looks, greedily by degree,
+    for S of size k-3 whose closed neighborhood exceeds C*m^(1-eps); S is
+    3-colored and extended to N(S) through list 2-coloring.  When the
+    greedy S falls short (case (b)), a maximal disjoint family of blobs is
+    built greedily and all the S parts are colored with one shared block,
+    which is proper because distinct blobs admit no crossing edges to each
     other's S parts.
 
-    Returns (Coloring, trace).  Raises ColoringAborted when the removed
-    set falls short of min(m, C*m^(1-eps)) and exhaustive search is out
-    of reach.
+    Returns (Coloring, trace).  Raises ColoringAborted when case (b)
+    removes fewer than min(m, C*m^(1-eps)) vertices.
     """
     check_graph(g)
     if not (0 < eps < 0.5):
         raise ValueError("eps must be in (0, 1/2)")
     n = g.n
-    k = max(3 + math.ceil(C * C * n ** (1 - 2 * eps)), n0)
+    k = max(3 + math.ceil(C * C * n ** (1 - 2 * eps)), N0)
     adj = adjacency(g)
     colors = {}
     trace = []
@@ -360,10 +351,8 @@ def generalized_color(g: Structure, eps: float, oracle,
             trace.append(LevelTrace(level, "direct", m, m,
                                     (block, block + 1, block + 2)))
             break
-        size = min(k - 3, m)
+        size = k - 3  # m > k here
         found = _greedy_s(adj, pool, size, target)
-        if found is None and m <= EXHAUSTIVE_LIMIT:
-            found = _exhaustive_s(adj, pool, size, target)
         if found is not None:
             s, blob = found
             h = oracle(g, sorted(s))
@@ -386,7 +375,7 @@ def generalized_color(g: Structure, eps: float, oracle,
         x_size = len(removed)
         trace.append(LevelTrace(level, case, m, x_size,
                                 (block, block + 1, block + 2)))
-        if case == "b" and x_size < min(m, target) and m > EXHAUSTIVE_LIMIT:
+        if case == "b" and x_size < min(m, target):
             raise ColoringAborted(
                 "removed %d of required %d at level %d"
                 % (x_size, math.ceil(min(m, target)), level), trace)
@@ -458,7 +447,7 @@ def partition_baseline(g: Structure, eps: float, oracle) -> Coloring:
     return Coloring(colors, 3 * block)
 
 
-def color_recurrence_Q(n: int, eps: float, C: float = DEFAULT_C) -> int:
+def color_recurrence_Q(n: int, eps: float, C: float = C) -> int:
     """Total palette of the level recurrence, iterated from n down."""
     if C <= 0 or not (0 < eps < 0.5):
         raise ValueError("need C > 0 and eps in (0, 1/2)")

@@ -5,14 +5,16 @@ closed under restrictions and has the extension property up to domain size k.
 The classical name for its computation is (k-1)-consistency; we index by the
 strategy domain size k.
 
-``partial_homs`` enumerates the partial homomorphisms domain by domain, with
-one ``core`` support-table lookup (the tables ``hom_search`` prunes with)
-per instance tuple that a new element completes.  ``compute_strategy`` keeps
-a set of value tuples per domain, runs arc consistency (Mackworth 1977,
-"Consistency in networks of relations") between each domain D and its
-extensions D + x, one set operation per step, and rejects at the first
-empty domain.  It returns a ``Strategy``, the same sets frozen, which
-``is_strategy`` checks by one set comparison per pair (D, D + x).
+``_value_lists`` enumerates the partial homomorphisms domain by domain, as
+one list of value tuples per domain, with one ``core`` support-table lookup
+(the tables ``hom_search`` prunes with) per instance tuple that a new
+element completes; ``sherali_adams.build_sa`` reads the same lists.
+``compute_strategy`` keeps a set of value tuples per domain, runs arc
+consistency (Mackworth 1977, "Consistency in networks of relations")
+between each domain D and its extensions D + x, one set operation per
+step, and rejects at the first empty domain.  It returns a ``Strategy``,
+the same sets frozen, which ``is_strategy`` checks by one set comparison
+per pair (D, D + x).
 """
 
 from bisect import bisect
@@ -114,15 +116,6 @@ class _Singles(dict):
     def __missing__(self, mask):
         out = self[mask] = [(a,) for a in range(mask.bit_length()) if mask >> a & 1]
         return out
-
-
-def partial_homs(instance: Structure, template: Structure, k: int, budget: int):
-    """All partial homomorphisms with |dom| <= min(k, |I|), ordered by
-    (size, domain, values).  Raises BudgetExceededError before enumerating
-    if the map space sum_i C(n,i)|T|^i exceeds budget."""
-    return [tuple(zip(dom, v))
-            for dom, values in _value_lists(instance, template, min(k, instance.n), budget)
-            for v in values]
 
 
 def compute_strategy(instance: Structure, template: Structure, k: int,

@@ -61,30 +61,6 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A set of r-tuples over carrier {0..carrier-1}."""
-
-    arity: int
-    carrier: int
-    tuples: tuple
-
-    def __post_init__(self):
-        tups = tuple(sorted(set(tuple(int(x) for x in t) for t in self.tuples)))
-        for t in tups:
-            if len(t) != self.arity:
-                raise ValueError("tuple %r does not match arity %d" % (t, self.arity))
-            if any(x < 0 or x >= self.carrier for x in t):
-                raise ValueError("tuple %r out of carrier range %d" % (t, self.carrier))
-        object.__setattr__(self, "tuples", tups)
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __contains__(self, t):
-        return tuple(t) in self.tuples
-
-
-@dataclass(frozen=True)
 class Structure:
     """A finite relational structure over elements 0..n-1."""
 
@@ -123,51 +99,9 @@ class Structure:
         """The tuples of a relation as a frozenset, built once per structure."""
         return self._rel_sets[name]
 
-    def relation(self, name: str) -> Relation:
-        return Relation(self.signature.arity(name), self.n, self.rel(name))
-
 
 # ---------------------------------------------------------------------------
-# Relational algebra
-
-
-def projection(rel: Relation, coords: Sequence[int]) -> Relation:
-    """pr_J R for a coordinate tuple J (repeats allowed)."""
-    coords = tuple(int(j) for j in coords)
-    for j in coords:
-        if j < 0 or j >= rel.arity:
-            raise ValueError("projection index %d out of range [0,%d)" % (j, rel.arity))
-    tups = set(tuple(t[j] for j in coords) for t in rel.tuples)
-    return Relation(len(coords), rel.carrier, tuple(tups))
-
-
-def compose(u: Relation, v: Relation) -> Relation:
-    if u.arity != 2 or v.arity != 2:
-        raise ValueError("compose requires binary relations")
-    if u.carrier != v.carrier:
-        raise ValueError("compose requires a common carrier")
-    by_first = {}
-    for (c, b) in v.tuples:
-        by_first.setdefault(c, []).append(b)
-    out = set()
-    for (a, c) in u.tuples:
-        for b in by_first.get(c, ()):
-            out.add((a, b))
-    return Relation(2, u.carrier, tuple(out))
-
-
-def product_relation(struct: Structure) -> Relation:
-    """Product of all relations of the structure, in signature order.
-
-    The empty product (no symbols) is the nullary singleton relation {()}.
-    """
-    tups = [()]
-    arity = 0
-    for sym, ar in struct.signature.symbols:
-        rel = struct.rel(sym)
-        tups = [a + b for a in tups for b in rel]
-        arity += ar
-    return Relation(arity, struct.n, tuple(tups))
+# Powers and substructures
 
 
 def encode_power(base: int, coords: Sequence[int]) -> int:

@@ -1,4 +1,4 @@
-"""Operation tables, minors, polymorphisms, WNUs, and free structures.
+"""Operation tables, polymorphisms and WNUs.
 
 An n-ary operation A^n -> B is stored as a flat table indexed by the
 mixed-radix encoding of its argument tuple, least-significant argument
@@ -67,27 +67,6 @@ def enumerate_polymorphisms(left: Structure, right: Structure, m: int,
     pw = power(left, m, size_limit=budget)
     for h in enumerate_homomorphisms(pw, right):
         yield OperationTable(m, left.n, right.n, h)
-
-
-def minor(g: OperationTable, pi) -> OperationTable:
-    """The minor f(x_1..x_n) = g(x_{pi(1)},...,x_{pi(m)}).
-
-    ``pi`` is a sequence of length arity(g) with values in [0, n); n is
-    inferred as max(pi)+1 unless given explicitly via a (pi, n) pair.
-    """
-    if isinstance(pi, tuple) and len(pi) == 2 and isinstance(pi[1], int) \
-            and not isinstance(pi[0], int):
-        pi, n = pi
-    else:
-        pi = tuple(pi)
-        n = max(pi) + 1 if pi else 1
-    if len(pi) != g.arity:
-        raise ValueError("pi must have one entry per argument of g")
-    table = []
-    for code in range(g.in_size ** n):
-        x = decode_power(g.in_size, n, code)
-        table.append(g(*(x[pi[j]] for j in range(g.arity))))
-    return OperationTable(n, g.in_size, g.out_size, tuple(table))
 
 
 def is_wnu(f: OperationTable) -> bool:
@@ -186,67 +165,6 @@ def alternating_threshold(m: int) -> OperationTable:
         s = sum(v if i % 2 == 0 else -v for i, v in enumerate(args))
         table.append(1 if s > 0 else 0)
     return OperationTable(m, 2, 2, tuple(table))
-
-
-class MinionFragment:
-    """A finite set of operation tables, grouped by arity."""
-
-    def __init__(self, tables):
-        self._by_arity = {}
-        for t in tables:
-            self._by_arity.setdefault(t.arity, set()).add(t)
-
-    def arity_part(self, n: int):
-        return sorted(self._by_arity.get(n, ()), key=lambda t: t.table)
-
-    def __contains__(self, t):
-        return t in self._by_arity.get(t.arity, ())
-
-    def __iter__(self):
-        for n in sorted(self._by_arity):
-            yield from self.arity_part(n)
-
-    @classmethod
-    def generated_by(cls, g: OperationTable, arities):
-        """g plus all its minors at the requested arities."""
-        tables = {g}
-        for n in arities:
-            for pi in iproduct(range(n), repeat=g.arity):
-                tables.add(minor(g, (pi, n)))
-        return cls(tables)
-
-
-def free_structure(base: Structure, fragment: MinionFragment) -> Structure:
-    """The structure on the |base|-ary part of the fragment.
-
-    For each relation with tuples t_1..t_m (lexicographic order) and each
-    m-ary g in the fragment, the tuple of minors (g_pi_1, ..., g_pi_r) with
-    pi_i(j) = t_j(i) is included.  Every such minor must already be in the
-    fragment's |base|-ary part.
-    """
-    n = base.n
-    domain = fragment.arity_part(n)
-    index = {t: i for i, t in enumerate(domain)}
-    rels = []
-    for sym, tups in base.relations:
-        r = base.signature.arity(sym)
-        ordered = sorted(tups)
-        m = len(ordered)
-        out = []
-        for g in fragment.arity_part(m):
-            image = []
-            for i in range(r):
-                pi = tuple(ordered[j][i] for j in range(m))
-                f_i = minor(g, (pi, n))
-                if f_i not in index:
-                    raise ValueError(
-                        "fragment not closed: missing %d-ary minor of a "
-                        "%d-ary member for relation %s" % (n, m, sym))
-                image.append(index[f_i])
-            out.append(tuple(image))
-        rels.append((sym, tuple(out)))
-    return Structure(base.signature, len(domain), tuple(rels),
-                     "free(%s)" % base.name)
 
 
 def has_reflexive_tuple(struct: Structure) -> Optional[int]:

@@ -54,9 +54,9 @@ class RationalLP:
         self._index[key] = len(self.variables)
         self.variables.append(key)
         if lower is not None:
-            self.lower[key] = Fraction(lower)
+            self.lower[key] = _exact(lower)
         if upper is not None:
-            self.upper[key] = Fraction(upper)
+            self.upper[key] = _exact(upper)
 
     def add_constraint(self, coeffs, rel, rhs):
         if rel not in (LEQ, EQ, GEQ):

@@ -19,7 +19,7 @@ from .consistency import Strategy, _value_lists, partial_map
 from .core import Structure
 from .ratlp import EQ, RationalLP, Verdict, feasible
 
-DEFAULT_VAR_BUDGET = 200_000
+DEFAULT_MAP_BUDGET = 200_000
 
 
 def x_key(f):
@@ -31,14 +31,16 @@ def lam_key(f, sym, u, t):
 
 
 def build_sa(instance: Structure, template: Structure, k: int,
-             budget: int = DEFAULT_VAR_BUDGET) -> RationalLP:
+             budget: int = DEFAULT_MAP_BUDGET) -> RationalLP:
     """The level-k relaxation as an exact rational LP.
 
     Reads the enumerator's value lists: ``xs[D][v]`` is the x variable of
     the partial homomorphism v on domain D, so the one-element extension of
     v by value a at a new element e (inserted at position j of D) is one
     lookup in ``xs[D + e]``.  An instance without a partial homomorphism has
-    no x_empty, and its normalization row reads 0 = 1.
+    no x_empty, and its normalization row reads 0 = 1.  ``budget`` counts
+    partial maps, not LP variables: BudgetExceededError is raised before
+    any work if the map space sum_{i <= k} C(n,i)|T|^i exceeds it.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -106,12 +108,12 @@ def build_sa(instance: Structure, template: Structure, k: int,
 
 
 def solve_sa(instance: Structure, template: Structure, k: int,
-             budget: int = DEFAULT_VAR_BUDGET) -> Verdict:
+             budget: int = DEFAULT_MAP_BUDGET) -> Verdict:
     return feasible(build_sa(instance, template, k, budget))
 
 
 def leq_sa(instance: Structure, template: Structure, k: int,
-           budget: int = DEFAULT_VAR_BUDGET) -> bool:
+           budget: int = DEFAULT_MAP_BUDGET) -> bool:
     return solve_sa(instance, template, k, budget).feasible
 
 

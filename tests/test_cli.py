@@ -273,6 +273,18 @@ class TestColor:
         colors = self._read_coloring(out)
         assert validate_coloring(path(3000), Coloring(colors, max(colors.values()) + 1))
 
+    @pytest.mark.parametrize("mode", ["general", "baseline"])
+    def test_rational_epsilon(self, tmp_path, capsys, mode):
+        # --epsilon is read as a rational, like `pcsp hard --eps`
+        _, gpath, ppath = self._planted(tmp_path, n=60)
+        printed = []
+        for eps in ("1/4", "0.25"):
+            assert cli.main(["color", "--graph", str(gpath), "--mode", mode,
+                             "--epsilon", eps, "--planted", str(ppath),
+                             "--out", "-"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and "palette:" in printed[0]
+
     def test_promise_violation(self, tmp_path):
         k5 = complete_graph(5)
         gpath = tmp_path / "k5.struct"

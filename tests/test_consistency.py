@@ -11,8 +11,8 @@ from pcsp.consistency import (
     is_strategy,
     leq_k,
     parse_strategy,
+    _value_lists,
     partial_map,
-    partial_homs,
 )
 from pcsp.core import (
     Signature,
@@ -166,6 +166,14 @@ def greatest_fixed_point(instance, template, k):
         if keep == family:
             return family
         family = keep
+
+
+def partial_homs(instance, template, k, budget):
+    """The maps of the enumerator's value lists with |dom| <= min(k, |I|),
+    in its (size, domain, values) order."""
+    return [tuple(zip(dom, v))
+            for dom, values in _value_lists(instance, template, min(k, instance.n), budget)
+            for v in values]
 
 
 def brute_force_partial_homs(instance, template, k):

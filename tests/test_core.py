@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pcsp.core import (
     GRAPH_SIG,
-    Relation,
     Signature,
     Structure,
     complete_graph,
-    compose,
     cycle,
     decode_power,
     encode_power,
@@ -23,8 +21,6 @@ from pcsp.core import (
     parse_structure,
     path,
     power,
-    product_relation,
-    projection,
     _search,
 )
 from pcsp.errors import BudgetExceededError, StructureParseError
@@ -136,81 +132,6 @@ class TestConstructors:
             exactly_template(3, 3)
         with pytest.raises(ValueError):
             nae_template(1)
-
-
-class TestProjection:
-    def test_k3_unary_projection_covers_all(self):
-        rel = complete_graph(3).relation("E")
-        assert projection(rel, (0,)).tuples == ((0,), (1,), (2,))
-
-    def test_single_tuple_rearrangement(self):
-        rel = Relation(3, 3, ((0, 1, 2),))
-        assert projection(rel, (2, 0)).tuples == ((2, 0),)
-
-    def test_two_in_four_first_pair_is_full_square(self):
-        rel = exactly_template(2, 4).relation("R")
-        assert set(projection(rel, (0, 1)).tuples) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            projection(complete_graph(2).relation("E"), (2,))
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_projection_composes(self, data):
-        ar = data.draw(st.integers(2, 4))
-        tuples = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * ar), max_size=8))
-        rel = Relation(ar, 4, tuple(tuples))
-        j = tuple(data.draw(st.lists(st.integers(0, ar - 1), min_size=1, max_size=4)))
-        k = tuple(data.draw(st.lists(st.integers(0, len(j) - 1), min_size=1, max_size=4)))
-        lhs = projection(projection(rel, j), k)
-        rhs = projection(rel, tuple(j[i] for i in k))
-        assert lhs == rhs
-
-
-class TestCompose:
-    def test_k2_self_composition_is_equality(self):
-        e = complete_graph(2).relation("E")
-        assert compose(e, e).tuples == ((0, 0), (1, 1))
-
-    def test_k3_self_composition_is_full_square(self):
-        e = complete_graph(3).relation("E")
-        assert set(compose(e, e).tuples) == set(itertools.product(range(3), repeat=2))
-
-    def test_empty_annihilates(self):
-        e = complete_graph(3).relation("E")
-        empty = Relation(2, 3, ())
-        assert compose(e, empty).tuples == ()
-
-    def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            compose(exactly_template(1, 3).relation("R"), complete_graph(2).relation("E"))
-
-    @given(st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_associativity(self, data):
-        pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
-        rels = [Relation(2, 6, tuple(data.draw(st.lists(pairs, max_size=10))))
-                for _ in range(3)]
-        a, b, c = rels
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-
-class TestProductRelation:
-    def test_single_relation_unchanged(self):
-        s = complete_graph(3)
-        assert product_relation(s).tuples == s.rel("E")
-
-    def test_cardinality_multiplies(self):
-        sig = Signature((("A", 1), ("B", 1)))
-        s = Structure(sig, 3, (("A", ((0,), (1,))), ("B", ((0,), (1,), (2,)))))
-        assert len(product_relation(s)) == 6
-
-    def test_k2_with_full_unary(self):
-        sig = Signature((("E", 2), ("U", 1)))
-        s = Structure(sig, 2, (("E", ((0, 1), (1, 0))), ("U", ((0,), (1,)))))
-        rel = product_relation(s)
-        assert rel.arity == 3 and len(rel) == 4
 
 
 class TestPower:

@@ -1,5 +1,6 @@
-"""Every name that a ``pcsp`` module imports is used in that module, and
-every function, class and method it defines is named somewhere else."""
+"""Every name that a ``pcsp`` module imports is used in that module, every
+function, class and method it defines is named somewhere else, and no
+module holds an ``assert`` statement (``python -O`` removes them)."""
 
 import ast
 import re
@@ -89,3 +90,23 @@ def test_the_scan_sees_an_unused_definition():
     other = "used()\nBox().opened()\nlonely_too = 1\n"
     assert definitions(module) == ["used", "lonely", "Box", "shut", "opened"]
     assert unnamed(definitions(module), [module, other]) == ["lonely", "shut"]
+
+
+def asserts(source):
+    """The line numbers of the module's ``assert`` statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_asserts(path):
+    assert asserts((SRC / path).read_text()) == []
+
+
+def test_the_scan_sees_an_assert():
+    source = ("def f(x):\n"
+              "    assert x, 'checked'\n"
+              "    if x:\n"
+              "        assert x > 0\n"
+              "    return x\n")
+    assert asserts(source) == [2, 4]

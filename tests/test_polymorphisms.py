@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -10,22 +9,18 @@ from pcsp.core import (
     complete_graph,
     decode_power,
     exactly_template,
-    hom_search,
     nae_template,
 )
 from pcsp.polymorphisms import (
-    MinionFragment,
     OperationTable,
     alternating_threshold,
     enumerate_polymorphisms,
     format_operation,
-    free_structure,
     has_reflexive_tuple,
     has_wnu,
     is_polymorphism,
     is_wnu,
     majority_first_tiebreak,
-    minor,
     parse_operation,
 )
 from pcsp.errors import PcspError
@@ -34,16 +29,6 @@ from pcsp.errors import PcspError
 def projection_table(m, carrier, coord):
     table = tuple(decode_power(carrier, m, c)[coord] for c in range(carrier ** m))
     return OperationTable(m, carrier, carrier, table)
-
-
-def one_off_structure(m):
-    """Domain {x=0, y=1}; one m-ary relation of all tuples with a single y."""
-    tups = []
-    for i in range(m):
-        t = [0] * m
-        t[i] = 1
-        tups.append(tuple(t))
-    return Structure(Signature((("R", m),)), 2, (("R", tuple(tups)),))
 
 
 class TestIsPolymorphism:
@@ -85,26 +70,6 @@ class TestEnumerate:
             if is_polymorphism(f, left, right):
                 want.add(table)
         assert got == want
-
-
-class TestMinor:
-    def test_identity_pi(self):
-        maj = majority_first_tiebreak(3)
-        assert minor(maj, (0, 1, 2)) == maj
-
-    def test_collapse_all_is_unary_identity(self):
-        maj = majority_first_tiebreak(3)
-        assert minor(maj, (0, 0, 0)).table == (0, 1)
-
-    def test_minor_of_polymorphism_is_polymorphism(self):
-        rng = random.Random(3)
-        left, right = exactly_template(2, 4), nae_template(4)
-        polys = list(enumerate_polymorphisms(left, right, 2))
-        for _ in range(100):
-            g = rng.choice(polys)
-            n = rng.randint(1, 3)
-            pi = tuple(rng.randrange(n) for _ in range(g.arity))
-            assert is_polymorphism(minor(g, (pi, n)), left, right)
 
 
 class TestWNU:
@@ -168,43 +133,6 @@ class TestPolymorphismSuites:
             left, right = exactly_template(s, r), nae_template(r)
             for m in (3, 5):
                 assert is_polymorphism(alternating_threshold(m), left, right)
-
-
-class TestFreeStructure:
-    def test_wnu_generator_gives_reflexive_tuple(self):
-        base = one_off_structure(3)
-        frag = MinionFragment.generated_by(majority_first_tiebreak(3), [2])
-        free = free_structure(base, frag)
-        assert has_reflexive_tuple(free) is not None
-
-    def test_projection_generator_gives_no_reflexive_tuple(self):
-        base = one_off_structure(3)
-        frag = MinionFragment.generated_by(projection_table(3, 2, 0), [2])
-        free = free_structure(base, frag)
-        assert has_reflexive_tuple(free) is None
-
-    def test_base_maps_into_free_structure(self):
-        base = one_off_structure(3)
-        frag = MinionFragment.generated_by(majority_first_tiebreak(3), [2])
-        assert hom_search(base, free_structure(base, frag)) is not None
-
-    def test_reflexive_iff_wnu_over_all_ternary_boolean_generators(self):
-        base = one_off_structure(3)
-        for table in itertools.product(range(2), repeat=8):
-            g = OperationTable(3, 2, 2, table)
-            frag = MinionFragment.generated_by(g, [2])
-            free = free_structure(base, frag)
-            # reflexive tuples can only come from a 3-ary member obeying
-            # the one-off identities
-            has_refl = has_reflexive_tuple(free) is not None
-            any_wnu = any(is_wnu(t) for t in frag.arity_part(3))
-            assert has_refl == any_wnu
-
-    def test_closure_violation_reported(self):
-        base = one_off_structure(3)
-        frag = MinionFragment([majority_first_tiebreak(3)])
-        with pytest.raises(ValueError, match="not closed"):
-            free_structure(base, frag)
 
 
 class TestReflexive:
